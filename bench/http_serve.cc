@@ -21,7 +21,6 @@
 // Writes BENCH_http_serve.json for the cross-PR perf trajectory.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -179,9 +178,14 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
     std::deque<double> scheduled;  // arrival time of each in-flight request
     std::vector<double> latencies_ms;
     std::thread reader;
-    std::atomic<bool> done{false};
+    size_t expected = 0;  // responses this connection will receive
   };
   std::vector<Conn> conns(static_cast<size_t>(num_conns));
+  // Requests go out round-robin, so each connection's share is known
+  // before sending; a reader stops once it has read exactly that many.
+  for (size_t i = 0; i < trace.size(); ++i) {
+    ++conns[i % conns.size()].expected;
+  }
   const auto t0 = std::chrono::steady_clock::now();
   auto now_s = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -194,7 +198,7 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
     conn.reader = std::thread([&conn, &now_s] {
       ResponseCounter counter;
       char buf[8192];
-      while (true) {
+      while (conn.latencies_ms.size() < conn.expected) {
         const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
         if (n <= 0) break;
         const int completed = counter.Feed(buf, static_cast<size_t>(n));
@@ -205,7 +209,6 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
             conn.latencies_ms.push_back((t - conn.scheduled.front()) * 1e3);
             conn.scheduled.pop_front();
           }
-          if (conn.done.load() && conn.scheduled.empty()) break;
         }
       }
       GR_CHECK(counter.all_ok()) << "bench saw a non-200 response";
@@ -233,7 +236,6 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
     }
     WriteAll(conn.fd, wire);
   }
-  for (Conn& conn : conns) conn.done.store(true);
 
   RunResult result;
   std::vector<double> all_ms;

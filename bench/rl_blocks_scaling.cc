@@ -1,8 +1,9 @@
 // Block-scoped vs full-graph RL topology optimization scaling. Generates
 // synthetic graphs of increasing size and compares one co-training round of
-// the full-graph TopologyEnv path (observation + rewiring + GNN epochs over
-// the whole adjacency per step) against BlockRolloutRunner episodes on
-// neighbor-sampled blocks (core/block_rollout.h).
+// BlockRolloutRunner episodes on neighbor-sampled blocks
+// (core/block_rollout.h) against the full-graph case of the same runner:
+// one block, empty fanouts, so observation + rewiring + GNN steps cover the
+// whole adjacency every step.
 //
 // The full-graph path runs only at the smallest size: beyond it a single
 // episode blows the bench's time budget — per-step cost scales with the
@@ -52,49 +53,12 @@ struct PathReport {
   int64_t block_nodes = 0;  ///< block path: nodes touched per round
 };
 
-/// One full-graph co-training round: TopologyEnv + PPO, `steps` env steps.
-PathReport RunFullGraph(const data::Dataset& ds, const data::Split& split,
-                        int steps) {
-  Stopwatch entropy_watch;
-  auto index = std::move(entropy::RelativeEntropyIndex::Build(
-                             ds.graph, ds.features, BenchEntropyOptions()))
-                   .value();
-  PathReport report;
-  report.entropy_seconds = entropy_watch.ElapsedSeconds();
-
-  nn::ModelOptions mo;
-  mo.in_features = ds.num_features();
-  mo.hidden = 32;
-  mo.num_classes = ds.num_classes;
-  mo.seed = 7;
-  auto model = nn::MakeModel(nn::BackboneKind::kSage, mo);
-  nn::ClassifierTrainer::Options to;
-  to.adam.lr = 0.01f;
-  to.seed = 7;
-  nn::ClassifierTrainer trainer(model.get(),
-                                nn::LayerInput::Sparse(ds.FeaturesCsr()),
-                                &ds.labels, to);
-
-  core::TopologyEnvOptions eo;
-  eo.gnn_epochs_per_step = 1;
-  core::TopologyEnv env(&ds, &split, &trainer, &index, eo);
-  rl::PpoOptions po;
-  po.steps_per_update = steps;
-  po.seed = 11;
-  rl::PpoAgent agent(core::kObservationDim, po);
-
-  Stopwatch watch;
-  const std::vector<double> rewards = rl::RunAgentOnEnv(&agent, &env, steps);
-  report.seconds_per_round = watch.ElapsedSeconds();
-  for (const double r : rewards) report.mean_reward += r;
-  report.mean_reward /= static_cast<double>(rewards.size());
-  report.peak_rss_mib = PeakRssMiB();
-  return report;
-}
-
-/// One block-scoped round: BlockRolloutRunner episodes on sampled blocks.
+/// One co-training round of BlockRolloutRunner episodes on `blocks`
+/// blocks. Empty `fanouts` is the full-graph case: every block is the
+/// whole graph.
 PathReport RunBlocks(const data::Dataset& ds, const data::Split& split,
-                     int steps) {
+                     int steps, int blocks,
+                     const std::vector<int64_t>& fanouts) {
   Stopwatch entropy_watch;
   auto index = std::move(entropy::RelativeEntropyIndex::Build(
                              ds.graph, ds.features, BenchEntropyOptions()))
@@ -115,9 +79,9 @@ PathReport RunBlocks(const data::Dataset& ds, const data::Split& split,
                                to);
 
   core::BlockRolloutOptions ro;
-  ro.blocks_per_round = 4;
+  ro.blocks_per_round = blocks;
   ro.seeds_per_block = 64;
-  ro.fanouts = {10, 10};
+  ro.fanouts = fanouts;
   ro.steps_per_episode = steps;
   ro.env.gnn_epochs_per_step = 1;
   ro.seed = 21;
@@ -161,41 +125,32 @@ int Main() {
     so.seed = 11;
     const auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
 
-    // Block path first so its peak-RSS reading is not inflated by the
-    // full-graph pass (ru_maxrss is monotonic across the process).
-    const PathReport blocks = RunBlocks(ds, splits[0], steps);
-    PrintRow(StrFormat("%lld", static_cast<long long>(n)),
-             {"blocks", StrFormat("%.3f", blocks.seconds_per_round),
-              StrFormat("%.3f", blocks.entropy_seconds),
-              StrFormat("%+.4f", blocks.mean_reward),
-              StrFormat("%.0f MiB", blocks.peak_rss_mib),
-              StrFormat("%lld", static_cast<long long>(blocks.block_nodes))},
-             12, 12);
-    json.BeginConfig()
-        .Field("nodes", n)
-        .Field("path", "blocks")
-        .Field("steps", steps)
-        .Field("seconds_per_round", blocks.seconds_per_round)
-        .Field("entropy_seconds", blocks.entropy_seconds)
-        .Field("mean_reward", blocks.mean_reward)
-        .Field("peak_rss_mib", blocks.peak_rss_mib)
-        .Field("block_nodes", blocks.block_nodes);
-
-    if (n <= full_graph_max_nodes) {
-      const PathReport full = RunFullGraph(ds, splits[0], steps);
-      PrintRow("", {"full", StrFormat("%.3f", full.seconds_per_round),
-                    StrFormat("%.3f", full.entropy_seconds),
-                    StrFormat("%+.4f", full.mean_reward),
-                    StrFormat("%.0f MiB", full.peak_rss_mib), "-"},
+    const auto report = [&](const std::string& label, const char* path,
+                            const PathReport& r) {
+      PrintRow(label,
+               {path, StrFormat("%.3f", r.seconds_per_round),
+                StrFormat("%.3f", r.entropy_seconds),
+                StrFormat("%+.4f", r.mean_reward),
+                StrFormat("%.0f MiB", r.peak_rss_mib),
+                StrFormat("%lld", static_cast<long long>(r.block_nodes))},
                12, 12);
       json.BeginConfig()
           .Field("nodes", n)
-          .Field("path", "full")
+          .Field("path", path)
           .Field("steps", steps)
-          .Field("seconds_per_round", full.seconds_per_round)
-          .Field("entropy_seconds", full.entropy_seconds)
-          .Field("mean_reward", full.mean_reward)
-          .Field("peak_rss_mib", full.peak_rss_mib);
+          .Field("seconds_per_round", r.seconds_per_round)
+          .Field("entropy_seconds", r.entropy_seconds)
+          .Field("mean_reward", r.mean_reward)
+          .Field("peak_rss_mib", r.peak_rss_mib)
+          .Field("block_nodes", r.block_nodes);
+    };
+
+    // Block path first so its peak-RSS reading is not inflated by the
+    // full-graph pass (ru_maxrss is monotonic across the process).
+    report(StrFormat("%lld", static_cast<long long>(n)), "blocks",
+           RunBlocks(ds, splits[0], steps, 4, {10, 10}));
+    if (n <= full_graph_max_nodes) {
+      report("", "full", RunBlocks(ds, splits[0], steps, 1, {}));
     } else {
       PrintRow("", {"full", "skipped", "-", "-", "-", "-"}, 12, 12);
       std::printf("    (full-graph episodes skipped at %lld nodes: "

@@ -7,7 +7,7 @@
 //                 [--splits=3] [--iterations=20] [--lambda=1.0]
 //                 [--k-max=5] [--d-max=5] [--seed=1] [--lr=0.01]
 //                 [--minibatch] [--fanouts=10,10] [--batch-size=256]
-//                 [--epochs=100] [--sample-replace]
+//                 [--epochs=100] [--patience=20] [--sample-replace]
 //                 [--rl-blocks=4] [--rl-block-fanouts=10,10]
 //                 [--rl-block-seeds=64] [--rl-steps=4]
 //                 [--rl-partition=independent|locality]
@@ -26,8 +26,8 @@
 //
 // --rare --rl-blocks=B runs block-scoped co-training: each PPO round
 // rewires B neighbor-sampled blocks (SparRL-style) instead of the full
-// graph. --rl-block-fanouts=full uses whole-graph blocks (the B=1 special
-// case reproduces classic --rare env trajectories); -1 entries mean
+// graph. --rl-block-fanouts=full uses whole-graph blocks (with B=1 every
+// env step rewires and finetunes on the full graph); -1 entries mean
 // unlimited fanout. --rl-partition=locality grows BFS seed batches so
 // blocks overlap less; --rl-prefetch-depth=N samples N rounds of blocks
 // ahead of training on --rl-producers threads (0 = inline, same stream
@@ -40,6 +40,9 @@
 // matrices — has better row locality. Opt-in: relabelling changes float
 // accumulation orders, so metrics match the natural ordering to tolerance
 // rather than bitwise.
+//
+// Unknown flags and malformed numeric values are rejected with exit code 2
+// rather than falling back to the defaults.
 //
 // --save-artifact packages the last split's co-trained backbone plus its
 // optimized graph (serve::ModelArtifact); it requires --rare since plain
@@ -60,10 +63,13 @@
 //       --predict=0,5,17 --topk=3
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,7 +83,27 @@ using namespace graphrare;
 
 namespace {
 
-/// Minimal --key=value parser.
+/// Every flag the CLI reads (see Usage above).
+const std::set<std::string>& KnownFlags() {
+  static const std::set<std::string> known = {
+      "backbone", "batch-size", "csr-reorder", "d-max", "dataset",
+      "epochs", "fanouts", "iterations", "k-max", "lambda", "lr",
+      "minibatch", "patience", "predict", "rare", "rl-block-fanouts",
+      "rl-block-seeds", "rl-blocks", "rl-entropy-refresh", "rl-partition",
+      "rl-prefetch-depth", "rl-producers", "rl-steps", "sample-replace",
+      "save-artifact", "save-graph", "seed", "serve-artifact",
+      "serve-fanouts", "splits", "telemetry", "topk"};
+  return known;
+}
+
+[[noreturn]] void InvalidValue(const std::string& key,
+                               const std::string& value) {
+  std::fprintf(stderr, "invalid value for --%s: '%s'\n", key.c_str(),
+               value.c_str());
+  std::exit(2);
+}
+
+/// Minimal --key=value parser. Unknown flags and malformed numbers exit 2.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -89,11 +115,13 @@ class Flags {
       }
       arg = arg.substr(2);
       const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg] = "1";  // boolean flag
-      } else {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      const std::string key = arg.substr(0, eq);
+      if (KnownFlags().count(key) == 0) {
+        std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
+        std::exit(2);
       }
+      // A bare flag is a boolean switch.
+      values_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
     }
   }
 
@@ -103,11 +131,28 @@ class Flags {
   }
   double GetDouble(const std::string& key, double def) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+    if (it == values_.end()) return def;
+    const char* begin = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' || errno != 0) {
+      InvalidValue(key, it->second);
+    }
+    return v;
   }
   int GetInt(const std::string& key, int def) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoi(it->second.c_str());
+    if (it == values_.end()) return def;
+    const char* begin = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(begin, &end, 10);
+    if (end == begin || *end != '\0' || errno != 0 || v < INT_MIN ||
+        v > INT_MAX) {
+      InvalidValue(key, it->second);
+    }
+    return static_cast<int>(v);
   }
   bool GetBool(const std::string& key) const { return values_.count(key); }
 

@@ -5,20 +5,23 @@
 #include "common/stopwatch.h"
 #include "nn/metrics.h"
 #include "core/observation.h"
+#include "core/telemetry.h"
 #include "core/topology_optimizer.h"
 
 namespace graphrare {
 namespace core {
 
-Result<serve::ModelArtifact> BlockCoTrainResult::ExportArtifact(
-    const data::Dataset& dataset) const {
-  if (model == nullptr) {
-    return Status::FailedPrecondition(
-        "result holds no trained model (was it produced by "
-        "RunBlockCoTraining?)");
+Status TopologyEnvOptions::Validate() const {
+  if (k_max < 0 || d_max < 0) {
+    return Status::InvalidArgument("k_max/d_max must be non-negative");
   }
-  return PackageArtifact(*model, backbone, model_options, seed, best_graph,
-                         dataset);
+  if (gnn_epochs_per_step < 0) {
+    return Status::InvalidArgument("gnn_epochs_per_step must be >= 0");
+  }
+  if (reward.lambda_r < 0.0) {
+    return Status::InvalidArgument("reward lambda_r must be non-negative");
+  }
+  return entropy.Validate();
 }
 
 Status BlockRolloutOptions::Validate() const {
@@ -224,41 +227,21 @@ BlockRolloutRunner::RoundStats BlockRolloutRunner::RunRound(
 
 // ---- RunBlockCoTraining ----------------------------------------------------
 
-BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
-                                      const data::Split& split,
-                                      const GraphRareOptions& options,
-                                      const BlockRolloutOptions& rollout_in) {
+GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
+                                   const data::Split& split,
+                                   const GraphRareOptions& options,
+                                   const BlockRolloutOptions& rollout_in) {
   GR_CHECK_OK(options.Validate());
   const DerivedSeeds seeds = DeriveSeeds(options.seed);
   Rng run_rng(seeds.run);
 
-  BlockCoTrainResult result;
-  result.initial_edges = dataset.graph.num_edges();
-
-  // Entropy index on G_0, computed once (Algorithm 1, lines 1-6).
-  Stopwatch entropy_watch;
-  entropy::EntropyOptions entropy_opts = options.entropy;
-  entropy_opts.seed = seeds.entropy;
-  auto index_or = entropy::RelativeEntropyIndex::Build(
-      dataset.graph, dataset.features, entropy_opts);
-  GR_CHECK(index_or.ok()) << index_or.status().ToString();
-  entropy::RelativeEntropyIndex index = std::move(index_or).value();
-  if (options.sequence_mode == SequenceMode::kShuffled) {
-    index.ShuffleSequences(&run_rng);
-  }
-  result.entropy_build_seconds = entropy_watch.ElapsedSeconds();
+  GraphRareResult result;
+  entropy::RelativeEntropyIndex index =
+      BuildRunIndex(dataset, options, &run_rng, &result);
 
   Stopwatch train_watch;
-  nn::ModelOptions model_opts;
-  model_opts.in_features = dataset.num_features();
-  model_opts.hidden = options.hidden;
-  model_opts.num_classes = dataset.num_classes;
-  model_opts.num_layers = options.num_layers;
-  model_opts.dropout = options.dropout;
-  model_opts.gat_heads = options.gat_heads;
-  model_opts.seed = options.seed;
-  auto model = nn::MakeModel(options.backbone, model_opts);
-
+  auto model =
+      nn::MakeModel(options.backbone, MakeModelOptions(dataset, options));
   nn::MiniBatchTrainer::Options trainer_opts;
   trainer_opts.adam = options.adam;
   trainer_opts.seed = options.seed;
@@ -273,7 +256,8 @@ BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
   rollout.env.k_max = options.k_max;
   rollout.env.d_max = options.d_max;
   rollout.env.reward = options.reward;
-  rollout.env.entropy = entropy_opts;
+  rollout.env.entropy = options.entropy;
+  rollout.env.entropy.seed = seeds.entropy;
   rollout.env.seed = seeds.env;
   GR_CHECK_OK(rollout.Validate());
 
@@ -304,8 +288,8 @@ BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
 
   std::vector<tensor::Tensor> best_weights = trainer.SaveWeights();
   result.best_graph = dataset.graph;
-  double best_val = trainer.Evaluate(dataset.graph, split.val).accuracy;
-  result.best_val_accuracy = best_val;
+  result.best_val_accuracy =
+      trainer.Evaluate(dataset.graph, split.val).accuracy;
 
   // Entropy-refresh bookkeeping: the merged graph the index currently
   // reflects (G_0 until the first refresh).
@@ -343,25 +327,15 @@ BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
     LogBlockRound(round_log);
     result.round_telemetry.push_back(round_log);
 
-    if (val > best_val) {
-      best_val = val;
+    if (val > result.best_val_accuracy) {
+      result.best_val_accuracy = val;
       best_weights = trainer.SaveWeights();
       result.best_graph = std::move(merged);
     }
   }
 
-  trainer.LoadWeights(best_weights);
-  result.best_val_accuracy = best_val;
-  result.test_accuracy =
-      trainer.Evaluate(result.best_graph, split.test).accuracy;
-  result.final_edges = result.best_graph.num_edges();
-  result.train_seconds = train_watch.ElapsedSeconds();
-
-  // Hand the co-trained backbone (best weights restored) to the caller.
-  result.model = std::move(model);
-  result.backbone = options.backbone;
-  result.model_options = model_opts;
-  result.seed = options.seed;
+  FinishRun(trainer.full_graph(), best_weights, dataset, split, options,
+            std::move(model), train_watch, &result);
   return result;
 }
 

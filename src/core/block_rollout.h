@@ -23,10 +23,10 @@
 //    pretraining, rollout rounds, validation-based model/graph selection.
 //
 // Full-graph mode is the B=1, fanout=infinity special case (empty
-// `fanouts`: the block is graph::FullSubgraph over all nodes) and
-// reproduces the full-graph TopologyEnv trajectory bitwise — same rewards,
-// same rewired edge set, same post-finetune weights (tests/
-// block_rollout_test.cc).
+// `fanouts`: the block is graph::FullSubgraph over all nodes). It
+// reproduces a full-graph episode bitwise — same rewards, same rewired
+// edge set, same post-finetune weights as a reference loop over
+// nn::ClassifierTrainer (tests/block_rollout_test.cc).
 
 #ifndef GRAPHRARE_CORE_BLOCK_ROLLOUT_H_
 #define GRAPHRARE_CORE_BLOCK_ROLLOUT_H_
@@ -43,12 +43,28 @@
 #include "nn/trainer.h"
 #include "rl/env.h"
 #include "core/edit_merger.h"
-#include "core/telemetry.h"
-#include "core/topology_env.h"
+#include "core/reward.h"
 #include "core/trainer.h"
 
 namespace graphrare {
 namespace core {
+
+/// Per-episode MDP knobs of a BlockTopologyEnv.
+struct TopologyEnvOptions {
+  int k_max = 5;
+  int d_max = 5;
+  /// Finetune steps on the rewired block every env step (the env always
+  /// trains; the paper's conditional finetune lives in GraphRareTrainer).
+  int gnn_epochs_per_step = 2;
+  RewardOptions reward;
+  entropy::EntropyOptions entropy;
+  uint64_t seed = 1;
+
+  /// Rejects k_max/d_max < 0, negative epoch counts, lambda_r < 0, and
+  /// invalid entropy options (lambda < 0, ...) with a Status instead of
+  /// letting a bad configuration crash mid-episode.
+  Status Validate() const;
+};
 
 /// Configuration of the block rollout scheduler.
 struct BlockRolloutOptions {
@@ -58,7 +74,7 @@ struct BlockRolloutOptions {
   int64_t seeds_per_block = 64;
   /// Sampler fanouts for block extraction (-1 entries = unlimited). Empty
   /// = full-graph mode: every block is the identity subgraph over all
-  /// nodes, today's TopologyEnv semantics.
+  /// nodes.
   std::vector<int64_t> fanouts = {10, 10};
   bool sample_replace = false;
   /// Env steps per episode (each step rewires + finetunes every block).
@@ -183,43 +199,19 @@ class BlockRolloutRunner {
   EditMerger merger_;
 };
 
-/// Outcome of a block-scoped co-training run (mirrors GraphRareResult,
-/// including the retained model + ExportArtifact deployable hand-off).
-struct BlockCoTrainResult {
-  double test_accuracy = 0.0;
-  double best_val_accuracy = 0.0;
-  int64_t initial_edges = 0;
-  int64_t final_edges = 0;
-  double entropy_build_seconds = 0.0;
-  double train_seconds = 0.0;
-  int64_t env_steps = 0;
-  std::vector<double> reward_history;   ///< per-round mean reward
-  std::vector<double> val_acc_history;  ///< per-round merged-graph val acc
-  /// Per-round scheduler + merge-conflict telemetry (also logged live).
-  std::vector<BlockRoundTelemetry> round_telemetry;
-  graph::Graph best_graph;
-
-  /// The co-trained backbone with its best (validation-selected) weights.
-  std::shared_ptr<nn::NodeClassifier> model;
-  nn::BackboneKind backbone = nn::BackboneKind::kGcn;
-  nn::ModelOptions model_options;
-  uint64_t seed = 0;
-
-  /// Packages model + best_graph into a deployable serve::ModelArtifact.
-  Result<serve::ModelArtifact> ExportArtifact(
-      const data::Dataset& dataset) const;
-};
-
 /// Runs block-scoped GraphRARE co-training on one split: entropy index on
 /// G_0, mini-batch pretraining, `options.iterations` rollout rounds with
 /// merged-graph validation selection, final test evaluation on the best
 /// graph/weights. The MDP knobs of `rollout.env` (k_max, d_max, reward,
 /// entropy) and every subsystem seed are overridden from `options` so one
 /// GraphRareOptions + master seed configures both co-training paths.
-BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
-                                      const data::Split& split,
-                                      const GraphRareOptions& options,
-                                      const BlockRolloutOptions& rollout);
+/// Fills the GraphRareResult fields both paths share plus env_steps and
+/// round_telemetry; the per-iteration train-accuracy and homophily
+/// histories stay empty.
+GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
+                                   const data::Split& split,
+                                   const GraphRareOptions& options,
+                                   const BlockRolloutOptions& rollout);
 
 }  // namespace core
 }  // namespace graphrare

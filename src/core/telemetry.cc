@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/trainer.h"
 
 namespace graphrare {
 namespace core {

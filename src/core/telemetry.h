@@ -13,10 +13,11 @@
 
 #include "common/status.h"
 #include "core/edit_merger.h"
-#include "core/trainer.h"
 
 namespace graphrare {
 namespace core {
+
+struct GraphRareResult;  // core/trainer.h, which includes this header
 
 /// Writes one row per co-training iteration:
 /// iteration,train_accuracy,val_accuracy,homophily,reward

@@ -60,7 +60,7 @@ Result<serve::ModelArtifact> GraphRareResult::ExportArtifact(
   if (model == nullptr) {
     return Status::FailedPrecondition(
         "result holds no trained model (was it produced by "
-        "GraphRareTrainer::Run?)");
+        "GraphRareTrainer::Run or RunBlockCoTraining?)");
   }
   return PackageArtifact(*model, backbone, model_options, seed, best_graph,
                          dataset);
@@ -80,6 +80,57 @@ DerivedSeeds DeriveSeeds(uint64_t master) {
   s.splits = master + 100;
   s.partition = master * 211 + 41;
   return s;
+}
+
+nn::ModelOptions MakeModelOptions(const data::Dataset& dataset,
+                                  const GraphRareOptions& options) {
+  nn::ModelOptions mo;
+  mo.in_features = dataset.num_features();
+  mo.hidden = options.hidden;
+  mo.num_classes = dataset.num_classes;
+  mo.num_layers = options.num_layers;
+  mo.dropout = options.dropout;
+  mo.gat_heads = options.gat_heads;
+  mo.seed = options.seed;
+  return mo;
+}
+
+entropy::RelativeEntropyIndex BuildRunIndex(const data::Dataset& dataset,
+                                            const GraphRareOptions& options,
+                                            Rng* run_rng,
+                                            GraphRareResult* result) {
+  result->initial_homophily = dataset.Homophily();
+  result->initial_edges = dataset.graph.num_edges();
+  Stopwatch watch;
+  entropy::EntropyOptions entropy_opts = options.entropy;
+  entropy_opts.seed = DeriveSeeds(options.seed).entropy;
+  auto index_or = entropy::RelativeEntropyIndex::Build(
+      dataset.graph, dataset.features, entropy_opts);
+  GR_CHECK(index_or.ok()) << index_or.status().ToString();
+  entropy::RelativeEntropyIndex index = std::move(index_or).value();
+  if (options.sequence_mode == SequenceMode::kShuffled) {
+    index.ShuffleSequences(run_rng);
+  }
+  result->entropy_build_seconds = watch.ElapsedSeconds();
+  return index;
+}
+
+void FinishRun(nn::ClassifierTrainer* trainer,
+               const std::vector<tensor::Tensor>& best_weights,
+               const data::Dataset& dataset, const data::Split& split,
+               const GraphRareOptions& options,
+               std::shared_ptr<nn::NodeClassifier> model,
+               const Stopwatch& train_watch, GraphRareResult* result) {
+  trainer->LoadWeights(best_weights);
+  result->test_accuracy =
+      trainer->Evaluate(result->best_graph, split.test).accuracy;
+  result->final_homophily = result->best_graph.EdgeHomophily(dataset.labels);
+  result->final_edges = result->best_graph.num_edges();
+  result->train_seconds = train_watch.ElapsedSeconds();
+  result->model = std::move(model);
+  result->backbone = options.backbone;
+  result->model_options = MakeModelOptions(dataset, options);
+  result->seed = options.seed;
 }
 
 Status MiniBatchOptions::Validate() const {
@@ -174,36 +225,13 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
   Rng run_rng(seeds.run);
 
   GraphRareResult result;
-  result.initial_homophily = g0.EdgeHomophily(dataset_->labels);
-  result.initial_edges = g0.num_edges();
-
-  // --- Node relative entropy, computed once (Algorithm 1, lines 1-6). ---
-  Stopwatch entropy_watch;
-  entropy::EntropyOptions entropy_opts = options_.entropy;
-  entropy_opts.seed = seeds.entropy;
-  auto index_result =
-      entropy::RelativeEntropyIndex::Build(g0, dataset_->features,
-                                           entropy_opts);
-  GR_CHECK(index_result.ok()) << index_result.status().ToString();
-  index_ = std::make_unique<entropy::RelativeEntropyIndex>(
-      std::move(index_result).value());
-  if (options_.sequence_mode == SequenceMode::kShuffled) {
-    index_->ShuffleSequences(&run_rng);
-  }
-  result.entropy_build_seconds = entropy_watch.ElapsedSeconds();
+  const entropy::RelativeEntropyIndex index =
+      BuildRunIndex(*dataset_, options_, &run_rng, &result);
 
   // --- Backbone + supervised trainer. ---
   Stopwatch train_watch;
-  nn::ModelOptions model_opts;
-  model_opts.in_features = dataset_->num_features();
-  model_opts.hidden = options_.hidden;
-  model_opts.num_classes = dataset_->num_classes;
-  model_opts.num_layers = options_.num_layers;
-  model_opts.dropout = options_.dropout;
-  model_opts.gat_heads = options_.gat_heads;
-  model_opts.seed = options_.seed;
-  auto model = nn::MakeModel(options_.backbone, model_opts);
-
+  auto model =
+      nn::MakeModel(options_.backbone, MakeModelOptions(*dataset_, options_));
   nn::ClassifierTrainer::Options trainer_opts;
   trainer_opts.adam = options_.adam;
   trainer_opts.seed = options_.seed;
@@ -241,7 +269,6 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
   result.best_graph = current;
   result.best_val_accuracy =
       trainer.Evaluate(current, split.val).accuracy;
-  double best_val = result.best_val_accuracy;
 
   for (int t = 0; t < options_.iterations; ++t) {
     // (line 9) Evaluate the GNN on the current graph, no parameter update.
@@ -280,15 +307,15 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
     // Model selection on validation accuracy (Sec. V-C protocol).
     const double val_acc = trainer.Evaluate(current, split.val).accuracy;
     result.val_acc_history.push_back(val_acc);
-    if (val_acc > best_val) {
-      best_val = val_acc;
+    if (val_acc > result.best_val_accuracy) {
+      result.best_val_accuracy = val_acc;
       best_weights = trainer.SaveWeights();
       result.best_graph = current;
     }
 
     // (lines 15-16) Action and state transition.
     const tensor::Tensor obs =
-        BuildObservation(g0, current, state, *index_, last_reward);
+        BuildObservation(g0, current, state, index, last_reward);
     switch (options_.policy_mode) {
       case PolicyMode::kDrl: {
         if (reward_pending) {
@@ -310,7 +337,7 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
     }
 
     // (line 17) Rebuild the topology for the next iteration.
-    current = BuildOptimizedGraph(g0, state, *index_, topo_opts);
+    current = BuildOptimizedGraph(g0, state, index, topo_opts);
   }
 
   // Close out the last pending PPO transition.
@@ -320,22 +347,8 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
     agent->StoreReward(ComputeReward(options_.reward, prev, final_eval));
   }
 
-  // --- Final selection and test metric. ---
-  trainer.LoadWeights(best_weights);
-  result.best_val_accuracy = best_val;
-  result.test_accuracy =
-      trainer.Evaluate(result.best_graph, split.test).accuracy;
-  result.final_homophily =
-      result.best_graph.EdgeHomophily(dataset_->labels);
-  result.final_edges = result.best_graph.num_edges();
-  result.train_seconds = train_watch.ElapsedSeconds();
-
-  // Hand the co-trained backbone (best weights already restored) back to
-  // the caller — it is half of the deployable product.
-  result.model = std::move(model);
-  result.backbone = options_.backbone;
-  result.model_options = model_opts;
-  result.seed = options_.seed;
+  FinishRun(&trainer, best_weights, *dataset_, split, options_,
+            std::move(model), train_watch, &result);
   return result;
 }
 

@@ -12,6 +12,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/stopwatch.h"
 #include "data/dataset.h"
 #include "data/sampler.h"
 #include "data/splits.h"
@@ -20,6 +22,7 @@
 #include "rl/ppo.h"
 #include "serve/artifact.h"
 #include "core/reward.h"
+#include "core/telemetry.h"
 #include "core/topology_optimizer.h"
 
 namespace graphrare {
@@ -108,7 +111,8 @@ Result<serve::ModelArtifact> PackageArtifact(
 /// deployable outcome: the co-trained backbone with its best
 /// (validation-selected) weights and the graph it was selected on. The
 /// model+graph pair is the product of a GraphRARE run — ExportArtifact
-/// packages it for serve::InferenceEngine.
+/// packages it for serve::InferenceEngine. Both co-training loops
+/// (GraphRareTrainer::Run and RunBlockCoTraining) return it.
 struct GraphRareResult {
   double test_accuracy = 0.0;
   double best_val_accuracy = 0.0;
@@ -119,17 +123,23 @@ struct GraphRareResult {
   double entropy_build_seconds = 0.0;
   double train_seconds = 0.0;
 
-  // Per-iteration telemetry (Fig. 6).
+  // Per-iteration telemetry (Fig. 6). The block path fills only the
+  // reward (per-round mean) and val (merged-graph) histories.
   std::vector<double> train_acc_history;
   std::vector<double> val_acc_history;
   std::vector<double> homophily_history;
   std::vector<double> reward_history;
 
+  /// Block path only: env steps taken, and per-round scheduler +
+  /// merge-conflict telemetry (also logged live).
+  int64_t env_steps = 0;
+  std::vector<BlockRoundTelemetry> round_telemetry;
+
   graph::Graph best_graph;
 
   /// The trained backbone, holding the weights that produced
   /// test_accuracy. Shared so results stay copyable; never null after a
-  /// successful Run.
+  /// successful run.
   std::shared_ptr<nn::NodeClassifier> model;
   /// Architecture the model was built with (artifact metadata).
   nn::BackboneKind backbone = nn::BackboneKind::kGcn;
@@ -143,6 +153,34 @@ struct GraphRareResult {
   Result<serve::ModelArtifact> ExportArtifact(
       const data::Dataset& dataset) const;
 };
+
+// ---- Algorithm 1 scaffolding shared by both co-training loops ------------
+
+/// The backbone architecture a GraphRareOptions describes for `dataset`.
+nn::ModelOptions MakeModelOptions(const data::Dataset& dataset,
+                                  const GraphRareOptions& options);
+
+/// Node relative entropy on G_0, computed once (Algorithm 1, lines 1-6)
+/// with the run's derived entropy seed. SequenceMode::kShuffled then
+/// shuffles the sequences with `run_rng`, so the loop's later draws from
+/// it follow. Records initial_edges, initial_homophily and
+/// entropy_build_seconds into `result`.
+entropy::RelativeEntropyIndex BuildRunIndex(const data::Dataset& dataset,
+                                            const GraphRareOptions& options,
+                                            Rng* run_rng,
+                                            GraphRareResult* result);
+
+/// Algorithm 1's close-out: restores the validation-selected
+/// `best_weights`, evaluates them on the test split over
+/// result->best_graph, records the final-graph statistics and
+/// train_seconds, and hands `model` to the result. RunBlockCoTraining
+/// passes its nn::MiniBatchTrainer's full_graph() twin.
+void FinishRun(nn::ClassifierTrainer* trainer,
+               const std::vector<tensor::Tensor>& best_weights,
+               const data::Dataset& dataset, const data::Split& split,
+               const GraphRareOptions& options,
+               std::shared_ptr<nn::NodeClassifier> model,
+               const Stopwatch& train_watch, GraphRareResult* result);
 
 /// Mini-batch supervised training configuration: neighbor-sampled blocks
 /// for the optimization steps, full-graph forward passes for evaluation.
@@ -190,12 +228,6 @@ class GraphRareTrainer {
 
   GraphRareResult Run(const data::Split& split);
 
-  /// The entropy index built for the last Run (shared across ablations in
-  /// benches; exposed for inspection).
-  const entropy::RelativeEntropyIndex* index() const {
-    return index_ ? index_.get() : nullptr;
-  }
-
  private:
   RewardInputs EvaluateForReward(nn::ClassifierTrainer* trainer,
                                  const graph::Graph& g,
@@ -203,7 +235,6 @@ class GraphRareTrainer {
 
   const data::Dataset* dataset_;
   GraphRareOptions options_;
-  std::unique_ptr<entropy::RelativeEntropyIndex> index_;
 };
 
 }  // namespace core

@@ -130,6 +130,8 @@ class MiniBatchTrainer {
 
   NodeClassifier* model() { return full_.model(); }
   Adam* optimizer() { return full_.optimizer(); }
+  /// The full-graph twin behind Evaluate and the weight snapshots.
+  ClassifierTrainer* full_graph() { return &full_; }
 
  private:
   /// Full-graph twin: owns the optimizer and the evaluation paths so the

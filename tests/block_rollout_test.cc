@@ -6,8 +6,9 @@
 //    deterministically (block-order-invariant for disjoint blocks).
 //  * Full-graph mode is the B=1/full-fanout special case: a
 //    BlockTopologyEnv over the identity block reproduces the full-graph
-//    TopologyEnv episode BITWISE (same rewards, same rewired edge set,
-//    same post-finetune weights) — scripted actions and PPO-driven alike.
+//    reference episode (full_graph_reference.h) BITWISE (same rewards,
+//    same rewired edge set, same post-finetune weights) — scripted actions
+//    and PPO-driven alike.
 //  * End-to-end: block-scoped co-training completes in seconds on a
 //    10k-node graph, a scale past the rl_blocks_scaling bench's
 //    full-graph-episode cutoff (full-graph per-step cost grows with the
@@ -18,6 +19,7 @@
 #include <cmath>
 
 #include "core/graphrare.h"
+#include "full_graph_reference.h"
 
 namespace graphrare {
 namespace {
@@ -279,7 +281,7 @@ nn::ModelOptions NoDropoutOptions(const data::Dataset& ds, uint64_t seed) {
   return mo;
 }
 
-TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
+TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesReference) {
   data::Dataset ds = MakeSparseDataset(15);
   data::SplitOptions so;
   so.num_splits = 1;
@@ -290,8 +292,20 @@ TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
   eo.k_max = 3;
   eo.d_max = 2;
   eo.gnn_epochs_per_step = 1;
+  const int steps = 4;
 
-  // Full-graph reference: TopologyEnv + ClassifierTrainer.
+  Rng action_rng(77);
+  std::vector<rl::ActionSample> actions(steps);
+  for (rl::ActionSample& action : actions) {
+    for (int64_t v = 0; v < ds.num_nodes(); ++v) {
+      action.delta_k.push_back(
+          static_cast<int>(action_rng.UniformInt(-1, 1)));
+      action.delta_d.push_back(
+          static_cast<int>(action_rng.UniformInt(-1, 1)));
+    }
+  }
+
+  // Full-graph reference: ClassifierTrainer over the whole graph.
   auto full_model = nn::MakeModel(nn::BackboneKind::kSage,
                                   NoDropoutOptions(ds, 101));
   nn::ClassifierTrainer::Options full_topts;
@@ -299,7 +313,9 @@ TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
   nn::ClassifierTrainer full_trainer(
       full_model.get(), nn::LayerInput::Sparse(ds.FeaturesCsr()),
       &ds.labels, full_topts);
-  core::TopologyEnv full_env(&ds, &splits[0], &full_trainer, &index, eo);
+  const FullGraphEpisode full =
+      RunFullGraphEpisode(ds, splits[0], &full_trainer, index, eo, steps,
+                          /*agent=*/nullptr, actions);
 
   // Block path: identity block + MiniBatchTrainer, same model seed.
   auto mb_model = nn::MakeModel(nn::BackboneKind::kSage,
@@ -313,27 +329,17 @@ TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
   BlockTopologyEnv block_env(&ds, block, splits[0].train, &mb_trainer,
                              index.Restrict(block), eo);
 
-  tensor::Tensor full_obs = full_env.Reset();
   tensor::Tensor block_obs = block_env.Reset();
-  ASSERT_TRUE(full_obs.AllClose(block_obs, 0.0f, 0.0f));
-
-  Rng action_rng(77);
-  for (int t = 0; t < 4; ++t) {
-    rl::ActionSample action;
-    for (int64_t v = 0; v < ds.num_nodes(); ++v) {
-      action.delta_k.push_back(
-          static_cast<int>(action_rng.UniformInt(-1, 1)));
-      action.delta_d.push_back(
-          static_cast<int>(action_rng.UniformInt(-1, 1)));
-    }
-    const double full_reward = full_env.Step(action, &full_obs);
-    const double block_reward = block_env.Step(action, &block_obs);
-    EXPECT_EQ(full_reward, block_reward) << "reward diverges at step " << t;
-    EXPECT_TRUE(full_obs.AllClose(block_obs, 0.0f, 0.0f))
+  ASSERT_TRUE(full.observations[0].AllClose(block_obs, 0.0f, 0.0f));
+  for (int t = 0; t < steps; ++t) {
+    const auto i = static_cast<size_t>(t);
+    const double block_reward = block_env.Step(actions[i], &block_obs);
+    EXPECT_EQ(full.rewards[i], block_reward)
+        << "reward diverges at step " << t;
+    EXPECT_TRUE(full.observations[i + 1].AllClose(block_obs, 0.0f, 0.0f))
         << "observation diverges at step " << t;
     // Same rewired edge set (identity block: local ids == global ids).
-    EXPECT_EQ(full_env.current_graph().edges(),
-              block_env.current_graph().edges())
+    EXPECT_EQ(full.edges[i], block_env.current_graph().edges())
         << "rewired edges diverge at step " << t;
   }
 
@@ -361,7 +367,7 @@ TEST(BlockEnvEquivalenceTest, PpoDrivenRunnerB1ReproducesFullGraphRollout) {
   po.seed = 19;
   const int steps = 6;
 
-  // Reference: generic single-env loop on the full-graph TopologyEnv.
+  // Reference: the full-graph episode, PPO-driven.
   auto full_model = nn::MakeModel(nn::BackboneKind::kSage,
                                   NoDropoutOptions(ds, 7));
   nn::ClassifierTrainer::Options full_topts;
@@ -369,10 +375,9 @@ TEST(BlockEnvEquivalenceTest, PpoDrivenRunnerB1ReproducesFullGraphRollout) {
   nn::ClassifierTrainer full_trainer(
       full_model.get(), nn::LayerInput::Sparse(ds.FeaturesCsr()),
       &ds.labels, full_topts);
-  core::TopologyEnv full_env(&ds, &splits[0], &full_trainer, &index, eo);
   rl::PpoAgent full_agent(core::kObservationDim, po);
-  const std::vector<double> full_rewards =
-      rl::RunAgentOnEnv(&full_agent, &full_env, steps);
+  const FullGraphEpisode full = RunFullGraphEpisode(
+      ds, splits[0], &full_trainer, index, eo, steps, &full_agent);
 
   // Block path: B=1, empty fanouts (identity block), one round.
   auto mb_model = nn::MakeModel(nn::BackboneKind::kSage,
@@ -392,15 +397,15 @@ TEST(BlockEnvEquivalenceTest, PpoDrivenRunnerB1ReproducesFullGraphRollout) {
   const BlockRolloutRunner::RoundStats stats = runner.RunRound(&block_agent);
 
   // Same rewards, step for step, bitwise.
-  ASSERT_EQ(stats.env_steps, static_cast<int64_t>(full_rewards.size()));
+  ASSERT_EQ(stats.env_steps, static_cast<int64_t>(full.rewards.size()));
   EXPECT_EQ(stats.num_blocks, 1);
   double full_mean = 0.0;
-  for (const double r : full_rewards) full_mean += r;
-  full_mean /= static_cast<double>(full_rewards.size());
+  for (const double r : full.rewards) full_mean += r;
+  full_mean /= static_cast<double>(full.rewards.size());
   EXPECT_EQ(stats.mean_reward, full_mean);
 
   // Same rewired edge set after the episode.
-  EXPECT_EQ(runner.MergedGraph().edges(), full_env.current_graph().edges());
+  EXPECT_EQ(runner.MergedGraph().edges(), full.edges.back());
 
   // Same post-finetune weights.
   const auto full_weights = full_trainer.SaveWeights();
@@ -455,11 +460,11 @@ TEST(BlockRolloutRunnerTest, SampledBlocksStayLocalAndMerge) {
 }
 
 TEST(BlockRolloutEndToEndTest, CoTrainsOnTenThousandNodeGraph) {
-  // 10k nodes: the rl_blocks_scaling bench caps full-graph TopologyEnv
-  // episodes at 2k for time-budget reasons — per-step observation,
-  // rewiring, and GNN training all touch the whole adjacency, so their
-  // cost grows with the graph — while block-scoped rollouts finish in
-  // seconds here because per-step cost follows the sampled block.
+  // 10k nodes: the rl_blocks_scaling bench caps full-graph episodes at
+  // 2k for time-budget reasons — per-step observation, rewiring, and GNN
+  // training all touch the whole adjacency, so their cost grows with the
+  // graph — while block-scoped rollouts finish in seconds here because
+  // per-step cost follows the sampled block.
   data::GeneratorOptions o;
   o.name = "synthetic-10k";
   o.num_nodes = 10000;
@@ -495,7 +500,7 @@ TEST(BlockRolloutEndToEndTest, CoTrainsOnTenThousandNodeGraph) {
   ro.steps_per_episode = 2;
   ro.env.gnn_epochs_per_step = 1;
 
-  const core::BlockCoTrainResult result =
+  const core::GraphRareResult result =
       core::RunBlockCoTraining(ds, splits[0], opts, ro);
 
   EXPECT_EQ(result.env_steps, 2 * 2);  // iterations * steps_per_episode

@@ -28,6 +28,7 @@
 #include "core/graphrare.h"
 #include "data/block_pipeline.h"
 #include "data/partitioner.h"
+#include "full_graph_reference.h"
 
 namespace graphrare {
 namespace {
@@ -571,7 +572,7 @@ TEST(BackwardCompatTest, B1FullFanoutReproducesFullGraphThroughPipeline) {
   po.seed = 19;
   const int steps = 6;
 
-  // Full-graph reference trajectory (TopologyEnv + ClassifierTrainer).
+  // Full-graph reference trajectory (ClassifierTrainer, whole graph).
   auto full_model = nn::MakeModel(nn::BackboneKind::kSage,
                                   NoDropoutOptions(ds, 7));
   nn::ClassifierTrainer::Options full_topts;
@@ -579,10 +580,9 @@ TEST(BackwardCompatTest, B1FullFanoutReproducesFullGraphThroughPipeline) {
   nn::ClassifierTrainer full_trainer(
       full_model.get(), nn::LayerInput::Sparse(ds.FeaturesCsr()),
       &ds.labels, full_topts);
-  core::TopologyEnv full_env(&ds, &splits[0], &full_trainer, &index, eo);
   rl::PpoAgent full_agent(core::kObservationDim, po);
-  const std::vector<double> full_rewards =
-      rl::RunAgentOnEnv(&full_agent, &full_env, steps);
+  const FullGraphEpisode full = RunFullGraphEpisode(
+      ds, splits[0], &full_trainer, index, eo, steps, &full_agent);
 
   // B=1/full-fanout through the new pipeline, prefetching enabled.
   auto mb_model = nn::MakeModel(nn::BackboneKind::kSage,
@@ -603,12 +603,12 @@ TEST(BackwardCompatTest, B1FullFanoutReproducesFullGraphThroughPipeline) {
   rl::PpoAgent block_agent(core::kObservationDim, po);
   const BlockRolloutRunner::RoundStats stats = runner.RunRound(&block_agent);
 
-  ASSERT_EQ(stats.env_steps, static_cast<int64_t>(full_rewards.size()));
+  ASSERT_EQ(stats.env_steps, static_cast<int64_t>(full.rewards.size()));
   double full_mean = 0.0;
-  for (const double r : full_rewards) full_mean += r;
-  full_mean /= static_cast<double>(full_rewards.size());
+  for (const double r : full.rewards) full_mean += r;
+  full_mean /= static_cast<double>(full.rewards.size());
   EXPECT_EQ(stats.mean_reward, full_mean);
-  EXPECT_EQ(runner.MergedGraph().edges(), full_env.current_graph().edges());
+  EXPECT_EQ(runner.MergedGraph().edges(), full.edges.back());
 }
 
 // ---- Locality + refresh end-to-end smoke -----------------------------------
@@ -640,7 +640,7 @@ TEST(PartitionCoTrainTest, LocalityWithEntropyRefreshCoTrains) {
   ro.prefetch_depth = 2;
   ro.refresh_entropy = true;
 
-  const core::BlockCoTrainResult result =
+  const core::GraphRareResult result =
       core::RunBlockCoTraining(ds, splits[0], opts, ro);
   EXPECT_EQ(result.round_telemetry.size(), 2u);
   for (const core::BlockRoundTelemetry& t : result.round_telemetry) {

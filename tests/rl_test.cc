@@ -138,7 +138,8 @@ TEST(PpoLearningTest, LearnsToIncreaseK) {
   opts.seed = 11;
   PpoAgent agent(3, opts);
   AlwaysIncreaseBandit env(6);
-  const std::vector<double> rewards = RunAgentOnEnv(&agent, &env, 160);
+  const std::vector<double> rewards =
+      RunAgentOnBatchedEnvs(&agent, {&env}, 160);
   double early = 0.0, late = 0.0;
   for (int i = 0; i < 20; ++i) early += rewards[static_cast<size_t>(i)];
   for (size_t i = rewards.size() - 20; i < rewards.size(); ++i) {
@@ -158,8 +159,15 @@ TEST(BatchedEnvsTest, SingleEnvMatchesUnbatchedLoopBitwise) {
   PpoAgent batched_agent(3, opts);
   AlwaysIncreaseBandit plain_env(5);
   AlwaysIncreaseBandit batched_env(5);
-  const std::vector<double> plain =
-      RunAgentOnEnv(&plain_agent, &plain_env, 24);
+  // The plain single-env agent loop, written out.
+  std::vector<double> plain;
+  Tensor obs = plain_env.Reset();
+  for (int t = 0; t < 24; ++t) {
+    const ActionSample action = plain_agent.Act(obs);
+    plain.push_back(plain_env.Step(action, &obs));
+    plain_agent.StoreReward(plain.back());
+    if (plain_agent.ReadyToUpdate()) plain_agent.Update(obs);
+  }
   const std::vector<double> batched = RunAgentOnBatchedEnvs(
       &batched_agent, {&batched_env}, 24);
   ASSERT_EQ(plain.size(), batched.size());
@@ -194,7 +202,8 @@ TEST(PpoLearningTest, JointRatioModeAlsoLearns) {
   opts.seed = 12;
   PpoAgent agent(3, opts);
   AlwaysIncreaseBandit env(4);
-  const std::vector<double> rewards = RunAgentOnEnv(&agent, &env, 160);
+  const std::vector<double> rewards =
+      RunAgentOnBatchedEnvs(&agent, {&env}, 160);
   double late = 0.0;
   for (size_t i = rewards.size() - 20; i < rewards.size(); ++i) {
     late += rewards[i];
