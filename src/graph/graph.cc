@@ -233,6 +233,16 @@ void Graph::DirectedEdgesWithSelfLoops(std::vector<int64_t>* src,
   }
 }
 
+std::shared_ptr<const tensor::GatEdges> Graph::AttentionEdges() const {
+  if (attention_edges_) return attention_edges_;
+  std::vector<int64_t> src;
+  std::vector<int64_t> dst;
+  DirectedEdgesWithSelfLoops(&src, &dst);
+  attention_edges_ = tensor::GroupGatEdges(std::move(src), std::move(dst),
+                                           num_nodes_, num_nodes_);
+  return attention_edges_;
+}
+
 double Graph::EdgeHomophily(const std::vector<int64_t>& labels) const {
   GR_CHECK_EQ(static_cast<int64_t>(labels.size()), num_nodes_);
   if (edges_.empty()) return 0.0;

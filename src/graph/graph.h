@@ -81,6 +81,10 @@ class Graph {
   void DirectedEdgesWithSelfLoops(std::vector<int64_t>* src,
                                   std::vector<int64_t>* dst) const;
 
+  /// DirectedEdgesWithSelfLoops, range-checked and grouped by destination
+  /// and by source for the GAT attention kernel. Built once, then cached.
+  std::shared_ptr<const tensor::GatEdges> AttentionEdges() const;
+
   /// Fraction of edges whose endpoints share a label (Eq. 1 of the paper).
   /// labels.size() must equal num_nodes. Returns 0 for edgeless graphs.
   double EdgeHomophily(const std::vector<int64_t>& labels) const;
@@ -101,6 +105,7 @@ class Graph {
   mutable std::shared_ptr<const tensor::CsrMatrix> row_normalized_;
   mutable std::shared_ptr<const tensor::CsrMatrix> two_hop_;
   mutable std::shared_ptr<const tensor::CsrMatrix> row_normalized_two_hop_;
+  mutable std::shared_ptr<const tensor::GatEdges> attention_edges_;
 };
 
 /// Sorted-merge diff of two graphs' canonical edge lists: `added` receives

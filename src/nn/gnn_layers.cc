@@ -71,10 +71,8 @@ GATConv::GATConv(int64_t in_features, int64_t out_per_head, int num_heads,
 
 Variable GATConv::Forward(const graph::Graph& g, const LayerInput& x,
                           bool training, Rng* rng) const {
-  std::vector<int64_t> src;
-  std::vector<int64_t> dst;
-  g.DirectedEdgesWithSelfLoops(&src, &dst);
-  const int64_t n = g.num_nodes();
+  // Grouped once per graph, shared by every head and layer.
+  const auto edges = g.AttentionEdges();
 
   std::vector<Variable> head_outputs;
   head_outputs.reserve(heads_.size());
@@ -87,8 +85,8 @@ Variable GATConv::Forward(const graph::Graph& g, const LayerInput& x,
     // op (bitwise the former gather/softmax/scale/scatter chain, without
     // its (E, f) intermediates).
     head_outputs.push_back(ops::GatSegmentAttention(
-        h, sl, sr, src, dst, n, negative_slope_, attention_dropout_,
-        training, rng));
+        h, sl, sr, edges, negative_slope_, attention_dropout_, training,
+        rng));
   }
   return head_outputs.size() == 1 ? head_outputs[0]
                                   : ops::ConcatCols(head_outputs);

@@ -200,27 +200,45 @@ Variable SpMM(std::shared_ptr<const CsrMatrix> s, const Variable& x) {
 namespace {
 
 /// Shared implementation for elementwise unary ops. `dydx` receives (x, y)
-/// and returns the local derivative.
+/// and returns the local derivative. Both passes are pure per element and
+/// run in kElementwiseGrain chunks; the backward reads y from the node's own
+/// value (kept alive by the tape) and accumulates g * dydx straight into the
+/// parent's gradient — the product rounds to float before the add, exactly
+/// as a separate d = g * dydx buffer followed by AddInPlace would.
 template <typename FwdFn, typename GradFn>
 Variable UnaryElementwise(const Variable& a, FwdFn fwd, GradFn dydx) {
-  Tensor out = a.value();
-  float* p = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) p[i] = fwd(p[i]);
-  Tensor saved_out = out;  // captured for gradient formulas that use y
-  return MakeOpNode(
-      std::move(out), {a},
-      [saved_out = std::move(saved_out), dydx](AutogradNode* n) {
-        if (!n->parents[0]->requires_grad) return;
-        const Tensor& x = n->parents[0]->value;
-        Tensor d = n->grad;
-        float* pd = d.data();
-        const float* px = x.data();
-        const float* py = saved_out.data();
-        for (int64_t i = 0; i < d.numel(); ++i) {
-          pd[i] *= dydx(px[i], py[i]);
-        }
-        Accumulate(n->parents[0], d);
-      });
+  const Tensor& x = a.value();
+  Tensor out = Tensor::Uninitialized(x.rows(), x.cols());
+  const float* px = x.data();
+  float* py = out.data();
+  ParallelFor(out.numel(), kElementwiseGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) py[i] = fwd(px[i]);
+  });
+  return MakeOpNode(std::move(out), {a}, [dydx](AutogradNode* n) {
+    if (!n->parents[0]->requires_grad) return;
+    const float* px = n->parents[0]->value.data();
+    const float* py = n->value.data();
+    const float* pg = n->grad.data();
+    float* pd = n->parents[0]->EnsureGrad()->data();
+    ParallelFor(n->value.numel(), kElementwiseGrain,
+                [&](int64_t i0, int64_t i1) {
+                  for (int64_t i = i0; i < i1; ++i) {
+                    pd[i] += pg[i] * dydx(px[i], py[i]);
+                  }
+                });
+  });
+}
+
+/// Inverted-dropout mask: one Bernoulli(p) draw per element, serially in
+/// order; 0 where the draw fires, 1 / (1 - p) elsewhere. Branch-free — the
+/// draw's outcome scales the keep value (0 * keep is +0, 1 * keep is keep)
+/// instead of selecting it, since a fair coin defeats branch prediction.
+void DrawDropoutMask(float p, Rng* rng, float* pm, int64_t n) {
+  GR_CHECK(rng != nullptr);
+  const float keep = 1.0f / (1.0f - p);
+  for (int64_t i = 0; i < n; ++i) {
+    pm[i] = static_cast<float>(!rng->Bernoulli(p)) * keep;
+  }
 }
 
 }  // namespace
@@ -243,7 +261,12 @@ Variable LeakyRelu(const Variable& a, float negative_slope) {
 Variable Elu(const Variable& a, float alpha) {
   return UnaryElementwise(
       a,
-      [alpha](float x) { return x > 0.0f ? x : alpha * (std::exp(x) - 1.0f); },
+      [alpha](float x) {
+        // Both sides are computed and then selected (no data-dependent
+        // branch); min keeps exp from overflowing on the discarded side.
+        const float neg = alpha * (std::exp(std::min(x, 0.0f)) - 1.0f);
+        return x > 0.0f ? x : neg;
+      },
       [alpha](float x, float y) { return x > 0.0f ? 1.0f : y + alpha; });
 }
 
@@ -278,24 +301,27 @@ Variable Log(const Variable& a) {
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
   GR_CHECK(p >= 0.0f && p < 1.0f) << "dropout p must be in [0,1), got " << p;
   if (!training || p == 0.0f) return a;
-  GR_CHECK(rng != nullptr);
-  const float keep = 1.0f - p;
-  Tensor mask(a.value().rows(), a.value().cols());
-  Tensor out = a.value();
-  float* pm = mask.data();
+  const Tensor& x = a.value();
+  Tensor mask = Tensor::Uninitialized(x.rows(), x.cols());
+  DrawDropoutMask(p, rng, mask.data(), mask.numel());
+  Tensor out = Tensor::Uninitialized(x.rows(), x.cols());
+  const float* px = x.data();
+  const float* pm = mask.data();
   float* po = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    const bool kept = !rng->Bernoulli(p);
-    pm[i] = kept ? 1.0f / keep : 0.0f;
-    po[i] *= pm[i];
-  }
-  return MakeOpNode(std::move(out), {a},
-                    [mask = std::move(mask)](AutogradNode* n) {
-                      if (!n->parents[0]->requires_grad) return;
-                      Tensor d = n->grad;
-                      d.MulInPlace(mask);
-                      Accumulate(n->parents[0], d);
+  ParallelFor(out.numel(), kElementwiseGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) po[i] = px[i] * pm[i];
+  });
+  return MakeOpNode(
+      std::move(out), {a}, [mask = std::move(mask)](AutogradNode* n) {
+        if (!n->parents[0]->requires_grad) return;
+        const float* pg = n->grad.data();
+        const float* pm = mask.data();
+        float* pd = n->parents[0]->EnsureGrad()->data();
+        ParallelFor(mask.numel(), kElementwiseGrain,
+                    [&](int64_t i0, int64_t i1) {
+                      for (int64_t i = i0; i < i1; ++i) pd[i] += pg[i] * pm[i];
                     });
+      });
 }
 
 Variable LogSoftmaxRows(const Variable& a) {
@@ -501,41 +527,42 @@ Variable RowSumCols(const Variable& a) {
 Variable ConcatCols(const std::vector<Variable>& parts) {
   GR_CHECK(!parts.empty());
   const int64_t rows = parts[0].value().rows();
-  int64_t total_cols = 0;
+  std::vector<int64_t> offsets{0};
   for (const auto& p : parts) {
     GR_CHECK_EQ(p.value().rows(), rows);
-    total_cols += p.value().cols();
+    offsets.push_back(offsets.back() + p.value().cols());
   }
-  Tensor out(rows, total_cols);
-  std::vector<int64_t> offsets;
-  offsets.reserve(parts.size() + 1);
-  int64_t off = 0;
-  for (const auto& p : parts) {
-    offsets.push_back(off);
-    const Tensor& v = p.value();
-    for (int64_t r = 0; r < rows; ++r) {
-      std::copy(v.row(r), v.row(r) + v.cols(), out.row(r) + off);
+  const int64_t total_cols = offsets.back();
+  // Row-parallel copies and gradient adds, in chunks of about
+  // kElementwiseGrain elements; every element is written exactly once.
+  const int64_t row_grain =
+      std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, total_cols));
+  Tensor out = Tensor::Uninitialized(rows, total_cols);
+  ParallelFor(rows, row_grain, [&](int64_t r0, int64_t r1) {
+    for (size_t k = 0; k < parts.size(); ++k) {
+      const Tensor& v = parts[k].value();
+      for (int64_t r = r0; r < r1; ++r) {
+        std::copy(v.row(r), v.row(r) + v.cols(), out.row(r) + offsets[k]);
+      }
     }
-    off += v.cols();
-  }
-  offsets.push_back(off);
-  return MakeOpNode(std::move(out), parts,
-                    [offsets](AutogradNode* n) {
-                      for (size_t k = 0; k < n->parents.size(); ++k) {
-                        auto& parent = n->parents[k];
-                        if (!parent->requires_grad) continue;
-                        parent->EnsureGrad();
-                        Tensor& pg = parent->grad;
-                        const int64_t o = offsets[k];
-                        for (int64_t r = 0; r < pg.rows(); ++r) {
-                          const float* src = n->grad.row(r) + o;
-                          float* dst = pg.row(r);
-                          for (int64_t c = 0; c < pg.cols(); ++c) {
-                            dst[c] += src[c];
-                          }
-                        }
-                      }
-                    });
+  });
+  return MakeOpNode(
+      std::move(out), parts, [offsets, row_grain](AutogradNode* n) {
+        // Parents in order, so a part listed twice accumulates as before.
+        for (size_t k = 0; k < n->parents.size(); ++k) {
+          auto& parent = n->parents[k];
+          if (!parent->requires_grad) continue;
+          Tensor& pg = *parent->EnsureGrad();
+          const int64_t o = offsets[k];
+          ParallelFor(pg.rows(), row_grain, [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) {
+              const float* src = n->grad.row(r) + o;
+              float* dst = pg.row(r);
+              for (int64_t c = 0; c < pg.cols(); ++c) dst[c] += src[c];
+            }
+          });
+        }
+      });
 }
 
 Variable GatherRows(const Variable& x, std::vector<int64_t> idx) {
@@ -708,59 +735,82 @@ Variable SegmentSoftmax(const Variable& scores, std::vector<int64_t> seg,
       });
 }
 
+namespace {
+
+// Chunk sizes of the GAT kernel's parallel loops. Node loops use dynamic
+// scheduling: in-degrees are skewed, so equal node counts are not equal work.
+constexpr int64_t kGatNodeGrain = 256;
+constexpr int64_t kGatEdgeGrain = 4096;
+
+}  // namespace
+
 Variable GatSegmentAttention(const Variable& h, const Variable& sl,
                              const Variable& sr, std::vector<int64_t> src,
                              std::vector<int64_t> dst, int64_t num_nodes,
                              float negative_slope, float dropout_p,
                              bool training, Rng* rng) {
+  return GatSegmentAttention(
+      h, sl, sr,
+      GroupGatEdges(std::move(src), std::move(dst), h.value().rows(),
+                    num_nodes),
+      negative_slope, dropout_p, training, rng);
+}
+
+Variable GatSegmentAttention(const Variable& h, const Variable& sl,
+                             const Variable& sr,
+                             std::shared_ptr<const GatEdges> edges,
+                             float negative_slope, float dropout_p,
+                             bool training, Rng* rng) {
+  GR_CHECK(edges != nullptr);
   const Tensor& hv = h.value();
+  GR_CHECK_EQ(hv.rows(), edges->num_src);
   GR_CHECK_EQ(sl.value().cols(), 1);
   GR_CHECK_EQ(sr.value().cols(), 1);
   GR_CHECK_EQ(sl.value().rows(), hv.rows());
   GR_CHECK_EQ(sr.value().rows(), hv.rows());
-  GR_CHECK_EQ(src.size(), dst.size());
   GR_CHECK(dropout_p >= 0.0f && dropout_p < 1.0f)
       << "dropout p must be in [0,1), got " << dropout_p;
-  const int64_t e = static_cast<int64_t>(src.size());
+  const int64_t e = static_cast<int64_t>(edges->src.size());
+  const int64_t num_nodes = edges->num_dst;
   const int64_t f = hv.cols();
-  for (int64_t i = 0; i < e; ++i) {
-    GR_CHECK(src[static_cast<size_t>(i)] >= 0 &&
-             src[static_cast<size_t>(i)] < hv.rows())
-        << "edge src out of range";
-    GR_CHECK(dst[static_cast<size_t>(i)] >= 0 &&
-             dst[static_cast<size_t>(i)] < num_nodes)
-        << "edge dst out of range";
-  }
+  const int64_t* src = edges->src.data();
+  const int64_t* dst = edges->dst.data();
+  const int64_t* dst_off = edges->dst_offsets.data();
+  const int64_t* by_dst = edges->by_dst.data();
   const float* psl = sl.value().data();
   const float* psr = sr.value().data();
 
   // Attention scores + segment softmax, numerically step-for-step the
-  // LeakyRelu(sl[src] + sr[dst]) -> SegmentSoftmax chain: float segment
-  // max, float exp(score - max), double segment sum in ascending edge
-  // order, float(w / sum) weights.
-  std::vector<float> escore(static_cast<size_t>(e));
-  std::vector<float> seg_max(static_cast<size_t>(num_nodes),
-                             -std::numeric_limits<float>::infinity());
-  for (int64_t i = 0; i < e; ++i) {
-    const float pre = psl[src[static_cast<size_t>(i)]] +
-                      psr[dst[static_cast<size_t>(i)]];
-    const float sc = pre > 0.0f ? pre : negative_slope * pre;
-    escore[static_cast<size_t>(i)] = sc;
-    const size_t s = static_cast<size_t>(dst[static_cast<size_t>(i)]);
-    seg_max[s] = std::max(seg_max[s], sc);
-  }
-  std::vector<double> seg_sum(static_cast<size_t>(num_nodes), 0.0);
-  Tensor alpha(e, 1);
+  // LeakyRelu(sl[src] + sr[dst]) -> SegmentSoftmax chain: per-edge scores,
+  // then per destination node a float max, float exp(score - max), double
+  // sum in ascending edge order, and float(w / sum) weights — computed in
+  // place in alpha, each edge owned by its destination's task.
+  Tensor alpha = Tensor::Uninitialized(e, 1);
   float* pa = alpha.data();
-  for (int64_t i = 0; i < e; ++i) {
-    const size_t s = static_cast<size_t>(dst[static_cast<size_t>(i)]);
-    pa[i] = std::exp(escore[static_cast<size_t>(i)] - seg_max[s]);
-    seg_sum[s] += pa[i];
-  }
-  for (int64_t i = 0; i < e; ++i) {
-    const size_t s = static_cast<size_t>(dst[static_cast<size_t>(i)]);
-    pa[i] = static_cast<float>(pa[i] / seg_sum[s]);
-  }
+  ParallelFor(e, kGatEdgeGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const float pre = psl[src[i]] + psr[dst[i]];
+      pa[i] = pre > 0.0f ? pre : negative_slope * pre;
+    }
+  });
+  ParallelForDynamic(num_nodes, kGatNodeGrain, [&](int64_t v0, int64_t v1) {
+    for (int64_t v = v0; v < v1; ++v) {
+      const int64_t* first = by_dst + dst_off[v];
+      const int64_t* last = by_dst + dst_off[v + 1];
+      float mx = -std::numeric_limits<float>::infinity();
+      for (const int64_t* it = first; it != last; ++it) {
+        mx = std::max(mx, pa[*it]);
+      }
+      double sum = 0.0;
+      for (const int64_t* it = first; it != last; ++it) {
+        pa[*it] = std::exp(pa[*it] - mx);
+        sum += pa[*it];
+      }
+      for (const int64_t* it = first; it != last; ++it) {
+        pa[*it] = static_cast<float>(pa[*it] / sum);
+      }
+    }
+  });
 
   // Attention dropout: one Bernoulli per edge in edge order — the same
   // draws ops::Dropout would make on the (e, 1) alpha tensor, so the RNG
@@ -768,92 +818,134 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
   const bool use_dropout = training && dropout_p > 0.0f;
   Tensor mask;
   if (use_dropout) {
-    GR_CHECK(rng != nullptr);
-    const float keep = 1.0f - dropout_p;
-    mask = Tensor(e, 1);
-    float* pm = mask.data();
-    for (int64_t i = 0; i < e; ++i) {
-      pm[i] = rng->Bernoulli(dropout_p) ? 0.0f : 1.0f / keep;
-    }
+    mask = Tensor::Uninitialized(e, 1);
+    DrawDropoutMask(dropout_p, rng, mask.data(), e);
   }
   const float* pm = use_dropout ? mask.data() : nullptr;
 
-  // Messages scattered straight into the output, ascending edge order
-  // exactly like ScatterAddRows (the dst segments are interleaved, so the
-  // scatter stays serial — same cost the chain paid).
-  Tensor out(num_nodes, f);
+  // Each output row starts at zero and sums its incoming messages in
+  // ascending edge order, exactly like ScatterAddRows; rows are
+  // independent, so nodes run in parallel.
+  Tensor out = Tensor::Uninitialized(num_nodes, f);
   float* po = out.data();
   const float* ph = hv.data();
-  for (int64_t i = 0; i < e; ++i) {
-    const float a =
-        use_dropout ? pa[i] * pm[i] : pa[i];
-    const float* hr = ph + src[static_cast<size_t>(i)] * f;
-    float* orow = po + dst[static_cast<size_t>(i)] * f;
-    for (int64_t c = 0; c < f; ++c) orow[c] += a * hr[c];
-  }
+  ParallelForDynamic(num_nodes, kGatNodeGrain, [&](int64_t v0, int64_t v1) {
+    for (int64_t v = v0; v < v1; ++v) {
+      float* orow = po + v * f;
+      std::fill(orow, orow + f, 0.0f);
+      for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
+        const int64_t i = by_dst[k];
+        const float a = pm != nullptr ? pa[i] * pm[i] : pa[i];
+        const float* hr = ph + src[i] * f;
+        for (int64_t c = 0; c < f; ++c) orow[c] += a * hr[c];
+      }
+    }
+  });
 
   return MakeOpNode(
       std::move(out), {h, sl, sr},
-      [src = std::move(src), dst = std::move(dst), alpha = std::move(alpha),
-       mask = std::move(mask), use_dropout, negative_slope,
-       num_nodes](AutogradNode* n) {
-        const Tensor& hv = n->parents[0]->value;
+      [edges = std::move(edges), alpha = std::move(alpha),
+       mask = std::move(mask), negative_slope](AutogradNode* n) {
+        const int64_t e = alpha.rows();
+        const int64_t num_nodes = edges->num_dst;
+        const int64_t f = n->parents[0]->value.cols();
+        const int64_t* src = edges->src.data();
+        const int64_t* dst = edges->dst.data();
+        const int64_t* dst_off = edges->dst_offsets.data();
+        const int64_t* by_dst = edges->by_dst.data();
+        const int64_t* src_off = edges->src_offsets.data();
+        const int64_t* by_src = edges->by_src.data();
+        const float* ph = n->parents[0]->value.data();
         const float* psl = n->parents[1]->value.data();
         const float* psr = n->parents[2]->value.data();
-        const int64_t e = alpha.rows();
-        const int64_t f = hv.cols();
         const float* pa = alpha.data();
-        const float* pm = use_dropout ? mask.data() : nullptr;
-        const bool need_h = n->parents[0]->requires_grad;
+        const float* pm = mask.numel() > 0 ? mask.data() : nullptr;
+        const float* pg = n->grad.data();
         const bool need_sl = n->parents[1]->requires_grad;
         const bool need_sr = n->parents[2]->requires_grad;
 
-        // ScatterAdd + RowScale + Gather backward in one edge pass:
-        // d_alpha_i is the float ascending-c dot the RowScale backward
-        // computes, and h's gradient receives each edge's contribution in
-        // the same ascending edge order the chain's gather-scatter used.
-        std::vector<float> d_alpha(static_cast<size_t>(e));
-        Tensor* hg = nullptr;
-        if (need_h) hg = n->parents[0]->EnsureGrad();
-        const float* pg = n->grad.data();
-        for (int64_t i = 0; i < e; ++i) {
-          const float* g = pg + dst[static_cast<size_t>(i)] * f;
-          const float* hr =
-              hv.data() + src[static_cast<size_t>(i)] * f;
-          float dot = 0.0f;
-          for (int64_t c = 0; c < f; ++c) dot += g[c] * hr[c];
-          const float ad = use_dropout ? pa[i] * pm[i] : pa[i];
-          // Dropout backward folds into the same pass: d(alpha) = dot * m.
-          d_alpha[static_cast<size_t>(i)] =
-              use_dropout ? dot * pm[i] : dot;
-          if (need_h) {
-            float* hgr = hg->data() + src[static_cast<size_t>(i)] * f;
-            for (int64_t c = 0; c < f; ++c) hgr[c] += g[c] * ad;
-          }
+        // ScatterAdd + RowScale + Gather backward. h's gradient row u
+        // receives its out-edges' contributions in the ascending edge order
+        // the chain's gather-scatter used; rows are independent.
+        if (n->parents[0]->requires_grad) {
+          float* phg = n->parents[0]->EnsureGrad()->data();
+          ParallelForDynamic(
+              edges->num_src, kGatNodeGrain, [&](int64_t u0, int64_t u1) {
+                for (int64_t u = u0; u < u1; ++u) {
+                  float* hgr = phg + u * f;
+                  for (int64_t k = src_off[u]; k < src_off[u + 1]; ++k) {
+                    const int64_t i = by_src[k];
+                    const float ad = pm != nullptr ? pa[i] * pm[i] : pa[i];
+                    const float* g = pg + dst[i] * f;
+                    for (int64_t c = 0; c < f; ++c) hgr[c] += g[c] * ad;
+                  }
+                }
+              });
         }
         if (!need_sl && !need_sr) return;
 
-        // SegmentSoftmax backward: double segment dots in ascending edge
-        // order, then d_e -> leaky-relu mask -> scatter into sl / sr. The
+        // d_alpha_i is the float ascending-c dot the RowScale backward
+        // computes; dropout's backward folds in as d(alpha) = dot * m.
+        Tensor d_alpha = Tensor::Uninitialized(e, 1);
+        float* pda = d_alpha.data();
+        ParallelFor(e, kGatEdgeGrain, [&](int64_t i0, int64_t i1) {
+          for (int64_t i = i0; i < i1; ++i) {
+            const float* g = pg + dst[i] * f;
+            const float* hr = ph + src[i] * f;
+            float dot = 0.0f;
+            for (int64_t c = 0; c < f; ++c) dot += g[c] * hr[c];
+            pda[i] = pm != nullptr ? dot * pm[i] : dot;
+          }
+        });
+
+        // SegmentSoftmax backward: per destination node, the double dot
+        // over its edges in ascending order, then each edge's d_e through
+        // the leaky-relu mask (overwriting d_alpha with d_pre). The
         // pre-activation is recomputed from the saved parents (a float add
         // — bit-identical to the forward's), so only alpha and the mask
         // were kept on the tape.
-        std::vector<double> seg_dot(static_cast<size_t>(num_nodes), 0.0);
-        for (int64_t i = 0; i < e; ++i) {
-          seg_dot[static_cast<size_t>(dst[static_cast<size_t>(i)])] +=
-              static_cast<double>(pa[i]) * d_alpha[static_cast<size_t>(i)];
+        ParallelForDynamic(num_nodes, kGatNodeGrain, [&](int64_t v0,
+                                                         int64_t v1) {
+          for (int64_t v = v0; v < v1; ++v) {
+            double seg_dot = 0.0;
+            for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
+              const int64_t i = by_dst[k];
+              seg_dot += static_cast<double>(pa[i]) * pda[i];
+            }
+            for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
+              const int64_t i = by_dst[k];
+              const float de = static_cast<float>(pa[i] * (pda[i] - seg_dot));
+              const float pre = psl[src[i]] + psr[v];
+              pda[i] = de * (pre > 0.0f ? 1.0f : negative_slope);
+            }
+          }
+        });
+
+        // Scatter d_pre into sr (by destination), then sl (by source), each
+        // gradient entry summing its edges in ascending order. When sl and
+        // sr are one node this is the chain's order too: its sr-side
+        // GatherRows backward runs before the sl-side one.
+        if (need_sr) {
+          float* srg = n->parents[2]->EnsureGrad()->data();
+          ParallelForDynamic(
+              num_nodes, kGatNodeGrain, [&](int64_t v0, int64_t v1) {
+                for (int64_t v = v0; v < v1; ++v) {
+                  for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
+                    srg[v] += pda[by_dst[k]];
+                  }
+                }
+              });
         }
-        float* slg = need_sl ? n->parents[1]->EnsureGrad()->data() : nullptr;
-        float* srg = need_sr ? n->parents[2]->EnsureGrad()->data() : nullptr;
-        for (int64_t i = 0; i < e; ++i) {
-          const size_t si = static_cast<size_t>(src[static_cast<size_t>(i)]);
-          const size_t di = static_cast<size_t>(dst[static_cast<size_t>(i)]);
-          const float de = static_cast<float>(
-              pa[i] * (d_alpha[static_cast<size_t>(i)] - seg_dot[di]));
-          const float pre = psl[si] + psr[di];
-          const float dpre = de * (pre > 0.0f ? 1.0f : negative_slope);
-          if (need_sl) slg[si] += dpre;
-          if (need_sr) srg[di] += dpre;
+        if (need_sl) {
+          float* slg = n->parents[1]->EnsureGrad()->data();
+          ParallelForDynamic(
+              edges->num_src, kGatNodeGrain, [&](int64_t u0, int64_t u1) {
+                for (int64_t u = u0; u < u1; ++u) {
+                  for (int64_t k = src_off[u]; k < src_off[u + 1]; ++k) {
+                    slg[u] += pda[by_src[k]];
+                  }
+                }
+              });
         }
       });
 }

@@ -63,7 +63,9 @@ Variable Exp(const Variable& a);
 /// Natural log; inputs must be positive.
 Variable Log(const Variable& a);
 
-/// Inverted dropout. Identity when !training or p == 0.
+/// Inverted dropout. Identity when !training or p == 0. The mask draws one
+/// Bernoulli(p) per element serially in flat order (the RNG stream is part
+/// of the contract); applying it runs in parallel.
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng);
 
 // -- Softmax family -------------------------------------------------------
@@ -129,16 +131,27 @@ Variable SegmentSoftmax(const Variable& scores, std::vector<int64_t> seg,
 ///   alpha_i = segment_softmax(e, dst)_i          (optionally dropped out)
 ///   out[v]  = sum_{i : dst[i] == v} alpha_i * h[src[i], :]
 ///
-/// in one pass over the edges, replacing the GatherRows -> Add -> LeakyRelu
-/// -> SegmentSoftmax -> (Dropout) -> GatherRows -> RowScale ->
-/// ScatterAddRows chain. Forward and backward are bitwise identical to that
-/// chain: per-edge arithmetic uses the same expressions, all segment
-/// reductions and scatter accumulations run in the same ascending-edge
-/// order, and dropout (applied when `training` and dropout_p > 0) draws
-/// exactly one Bernoulli(dropout_p) per edge in edge order, so the RNG
-/// stream matches ops::Dropout on the (e, 1) alpha tensor. Only the (e, 1)
+/// replacing the GatherRows -> Add -> LeakyRelu -> SegmentSoftmax ->
+/// (Dropout) -> GatherRows -> RowScale -> ScatterAddRows chain. Forward and
+/// backward are bitwise identical to that chain at any thread count:
+/// per-edge arithmetic uses the same expressions and runs in parallel over
+/// edges; every segment reduction and scatter accumulation (segment max and
+/// double sum, output rows, the h / sl / sr gradient rows, the double
+/// softmax-backward dots) runs in parallel over nodes, each node walking its
+/// own edges in the same ascending-edge order the chain used. Dropout
+/// (applied when `training` and dropout_p > 0) draws exactly one
+/// Bernoulli(dropout_p) per edge, serially in edge order, so the RNG stream
+/// matches ops::Dropout on the (e, 1) alpha tensor. Only the (e, 1)
 /// attention weights and dropout mask are saved for backward — none of the
 /// chain's (e, f) edge-message intermediates are materialised or taped.
+/// h must have edges->num_src rows; the output has edges->num_dst rows.
+Variable GatSegmentAttention(const Variable& h, const Variable& sl,
+                             const Variable& sr,
+                             std::shared_ptr<const GatEdges> edges,
+                             float negative_slope, float dropout_p,
+                             bool training, Rng* rng);
+
+/// Same kernel over a plain edge list (groups it on every call).
 Variable GatSegmentAttention(const Variable& h, const Variable& sl,
                              const Variable& sr, std::vector<int64_t> src,
                              std::vector<int64_t> dst, int64_t num_nodes,

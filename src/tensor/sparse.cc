@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "common/parallel.h"
@@ -418,6 +419,45 @@ Tensor CsrMatrix::ToDense() const {
     }
   }
   return d;
+}
+
+namespace {
+
+/// Stable counting sort of edge ids by key: ids[offsets[k] .. offsets[k+1])
+/// are the edges with key k, ascending.
+void GroupByKey(const std::vector<int64_t>& key, int64_t num_keys,
+                std::vector<int64_t>* offsets, std::vector<int64_t>* ids) {
+  std::vector<int64_t>& off = *offsets;
+  off.assign(static_cast<size_t>(num_keys + 1), 0);
+  for (const int64_t k : key) ++off[static_cast<size_t>(k + 1)];
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  std::vector<int64_t> next(off.begin(), off.end() - 1);
+  ids->resize(key.size());
+  for (size_t i = 0; i < key.size(); ++i) {
+    const size_t k = static_cast<size_t>(key[i]);
+    (*ids)[static_cast<size_t>(next[k]++)] = static_cast<int64_t>(i);
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<const GatEdges> GroupGatEdges(std::vector<int64_t> src,
+                                              std::vector<int64_t> dst,
+                                              int64_t num_src,
+                                              int64_t num_dst) {
+  GR_CHECK_EQ(src.size(), dst.size());
+  for (size_t i = 0; i < src.size(); ++i) {
+    GR_CHECK(src[i] >= 0 && src[i] < num_src) << "edge src out of range";
+    GR_CHECK(dst[i] >= 0 && dst[i] < num_dst) << "edge dst out of range";
+  }
+  auto edges = std::make_shared<GatEdges>();
+  GroupByKey(dst, num_dst, &edges->dst_offsets, &edges->by_dst);
+  GroupByKey(src, num_src, &edges->src_offsets, &edges->by_src);
+  edges->src = std::move(src);
+  edges->dst = std::move(dst);
+  edges->num_src = num_src;
+  edges->num_dst = num_dst;
+  return edges;
 }
 
 }  // namespace tensor

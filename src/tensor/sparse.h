@@ -3,6 +3,7 @@
 // Compressed sparse row matrix for graph adjacency operators. Used by the
 // GNN layers (SpMM is the message-passing hot loop) and by GCN
 // normalisation. Values are float so normalised adjacencies fit directly.
+// Also the edge grouping (GatEdges) the GAT attention kernel walks.
 //
 // Thread-safety: a CsrMatrix is immutable after construction, and the lazy
 // Transposed() cache is initialised under std::call_once, so any number of
@@ -147,6 +148,27 @@ class CsrMatrix {
   mutable std::unique_ptr<TransposeSlot> transpose_slot_ =
       std::make_unique<TransposeSlot>();
 };
+
+/// An edge list src[i] -> dst[i] with its edge ids grouped by destination
+/// and by source (CSR-style offsets; within a group, ids ascend). The
+/// grouping lets every per-node reduction of the GAT kernel walk its own
+/// edges in ascending edge order, one node per task.
+struct GatEdges {
+  std::vector<int64_t> src, dst;
+  int64_t num_src = 0;  ///< rows of h: every src[i] is in [0, num_src)
+  int64_t num_dst = 0;  ///< output rows: every dst[i] is in [0, num_dst)
+  /// Edges into v: by_dst[dst_offsets[v] .. dst_offsets[v + 1]).
+  std::vector<int64_t> dst_offsets, by_dst;
+  /// Edges out of u: by_src[src_offsets[u] .. src_offsets[u + 1]).
+  std::vector<int64_t> src_offsets, by_src;
+};
+
+/// Range-checks the edge list and groups it (stable counting sorts).
+/// graph::Graph::AttentionEdges() builds and caches one per graph.
+std::shared_ptr<const GatEdges> GroupGatEdges(std::vector<int64_t> src,
+                                              std::vector<int64_t> dst,
+                                              int64_t num_src,
+                                              int64_t num_dst);
 
 }  // namespace tensor
 }  // namespace graphrare

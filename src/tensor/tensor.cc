@@ -28,7 +28,8 @@ namespace graphrare {
 namespace tensor {
 
 // ===================================================================
-// TensorPool: thread-safe power-of-two free lists of float buffers.
+// TensorPool: thread-safe free lists of float buffers, bucketed by
+// floor(log2(capacity)).
 // ===================================================================
 
 namespace {
@@ -102,16 +103,22 @@ class PoolImpl {
   std::vector<float> Acquire(size_t n, bool zeroed) {
     if (n >= kMinPooledFloats && enabled()) {
       std::unique_lock<std::mutex> lock(mu_);
-      auto& bucket = buckets_[static_cast<size_t>(CeilLog2(n))];
-      if (!bucket.empty()) {
-        std::vector<float> buf = std::move(bucket.back());
-        bucket.pop_back();
-        ++stats_.hits;
-        stats_.cached_bytes -= buf.capacity() * sizeof(float);
-        lock.unlock();
-        buf.resize(n);  // shrink or zero-extend within capacity
-        if (zeroed) std::fill(buf.begin(), buf.end(), 0.0f);
-        return buf;
+      // n's floor bucket holds the exact-size buffers Release filed for a
+      // same-shape tensor, but also smaller ones: take the newest that
+      // fits. Every buffer in the ceil bucket fits, so it is the fallback.
+      for (const int b : {FloorLog2(n), CeilLog2(n)}) {
+        auto& bucket = buckets_[static_cast<size_t>(b)];
+        for (auto it = bucket.end(); it != bucket.begin();) {
+          if ((--it)->capacity() < n) continue;
+          std::vector<float> buf = std::move(*it);
+          bucket.erase(it);
+          ++stats_.hits;
+          stats_.cached_bytes -= buf.capacity() * sizeof(float);
+          lock.unlock();
+          buf.resize(n);  // shrink or zero-extend within capacity
+          if (zeroed) std::fill(buf.begin(), buf.end(), 0.0f);
+          return buf;
+        }
       }
       ++stats_.misses;
     }
@@ -153,8 +160,9 @@ class PoolImpl {
   std::atomic<bool> enabled_{true};
   std::mutex mu_;
   TensorPool::Stats stats_;
-  // buckets_[b] holds buffers whose capacity is in [2^b, 2^(b+1)); any of
-  // them serves an Acquire(n) with CeilLog2(n) == b since 2^b >= n.
+  // buckets_[b] holds buffers whose capacity is in [2^b, 2^(b+1)). Every
+  // one of them serves an Acquire(n) with CeilLog2(n) == b (2^b >= n); with
+  // FloorLog2(n) == b, those of capacity >= n do.
   std::array<std::vector<std::vector<float>>, kNumBuckets> buckets_;
 };
 
@@ -261,14 +269,6 @@ Tensor Tensor::GlorotUniform(int64_t fan_in, int64_t fan_out, Rng* rng) {
 }
 
 void Tensor::Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
-
-namespace {
-
-// Elementwise kernels are memory-bound; below this many elements a thread
-// team costs more than it saves.
-constexpr int64_t kElementwiseGrain = int64_t{1} << 15;
-
-}  // namespace
 
 void Tensor::AddInPlace(const Tensor& other) {
   GR_CHECK(SameShape(other)) << "AddInPlace shape mismatch: " << rows_ << "x"

@@ -272,6 +272,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// C = A * B^T. Shapes (m,k) x (n,k) -> (m,n).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
+/// Chunk size of the parallel elementwise kernels (the in-place Tensor
+/// methods and the elementwise ops in ops.cc). They are memory-bound;
+/// below this many elements a thread team costs more than it saves.
+inline constexpr int64_t kElementwiseGrain = int64_t{1} << 15;
+
 /// Column sums -> (1, n). Deterministic fixed-block parallel reduction over
 /// row blocks of kColSumRowBlock.
 inline constexpr int64_t kColSumRowBlock = 1024;

@@ -11,7 +11,11 @@
 //   * Results are invariant to the OpenMP thread count.
 //   * The fused ops (AddBiasRelu, LogSoftmaxNll behind CrossEntropy) match
 //     their unfused chains and pass numeric grad checks.
-//   * The tensor buffer pool recycles buffers without aliasing live data.
+//   * The tensor buffer pool recycles buffers without aliasing live data,
+//     same-size buffers of any size included.
+//   * The parallel elementwise ops (Relu, Elu, Dropout) and the
+//     segment-parallel GAT kernel keep their serial bits on inputs large
+//     enough to split into many chunks.
 //
 // "Exact" comparisons use float equality (== treats +0 and -0 as equal,
 // which is the one place the zero-skip in the naive path may differ).
@@ -24,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/generator.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -364,6 +369,35 @@ TEST(TensorPoolTest, ReusesBuffersWithoutAliasing) {
   EXPECT_NE(w.data(), copy.data());
 }
 
+TEST(TensorPoolTest, RecyclesSameSizeBufferOfNonPowerOfTwoSize) {
+  if (!TensorPool::Enabled()) {
+    GTEST_SKIP() << "pool compiled out (sanitizer build) or disabled";
+  }
+  TensorPool::Clear();
+  // 10000 x 64 floats is not a power of two: the freed buffer is filed
+  // under floor(log2) and must still serve the same shape again.
+  const float* recycled = nullptr;
+  { recycled = Tensor(10000, 64).data(); }
+  const TensorPool::Stats before = TensorPool::GetStats();
+  Tensor u(10000, 64);
+  EXPECT_EQ(u.data(), recycled) << "same-size buffer was not recycled";
+  EXPECT_EQ(TensorPool::GetStats().hits, before.hits + 1);
+
+  // A newer buffer of the same bucket that is too small is passed over
+  // for an older one that fits.
+  TensorPool::Clear();
+  const float* fits = nullptr;
+  {
+    Tensor smaller(10000, 60);  // destroyed last: the bucket's newest
+    Tensor exact(10000, 64);
+    exact.Fill(5.0f);
+    fits = exact.data();
+  }
+  Tensor again(10000, 64);
+  EXPECT_EQ(again.data(), fits);
+  for (int64_t i = 0; i < again.numel(); ++i) ASSERT_EQ(again[i], 0.0f);
+}
+
 TEST(TensorPoolTest, MoveTransfersOwnership) {
   if (!TensorPool::Enabled()) {
     GTEST_SKIP() << "pool compiled out (sanitizer build) or disabled";
@@ -623,6 +657,34 @@ TEST(FusedGat, DropoutRngStreamMatchesChain) {
   ExpectSameBits(fused.d_sr, chain.d_sr, "fused GAT dropout d_sr");
 }
 
+TEST(FusedGat, SharedScoreVariableMatchesChainBitwise) {
+  // One Variable as both sl and sr: both gradient scatters land in the
+  // same buffer, and must do so in the chain's order.
+  const int64_t n = 29, f = 6;
+  std::vector<int64_t> src, dst;
+  TestEdges(n, 137, &src, &dst);
+  Rng rng(139);
+  const Tensor h_val = Tensor::Randn(n, f, &rng);
+  const Tensor s_val = Tensor::Randn(n, 1, &rng);
+  Rng wr(7);
+  const Variable weights(Tensor::Randn(n, f, &wr));
+  Tensor d_s[2];
+  Tensor out[2];
+  for (const bool fused : {false, true}) {
+    Variable h(h_val, /*requires_grad=*/true);
+    Variable s(s_val, /*requires_grad=*/true);
+    const Variable o =
+        fused ? ops::GatSegmentAttention(h, s, s, src, dst, n, 0.2f, 0.0f,
+                                         true, nullptr)
+              : ChainGat(h, s, s, src, dst, n, 0.2f, 0.0f, true, nullptr);
+    ops::SumAll(ops::Mul(o, weights)).Backward();
+    out[fused] = o.value();
+    d_s[fused] = s.grad();
+  }
+  ExpectSameBits(out[1], out[0], "shared-score fused GAT forward");
+  ExpectSameBits(d_s[1], d_s[0], "shared-score fused GAT d_s");
+}
+
 TEST(FusedGat, EvalModeDropoutIsIdentity) {
   const int64_t n = 11, f = 4;
   std::vector<int64_t> src, dst;
@@ -663,7 +725,137 @@ TEST(FusedGat, GradCheckAgainstFiniteDifferences) {
   }
 }
 
+/// Directed edges with self loops of a generated 4096-node graph: enough
+/// nodes and edges that every node- and edge-parallel loop of the fused
+/// kernel splits into many chunks.
+void GeneratedGraphEdges(std::vector<int64_t>* src, std::vector<int64_t>* dst,
+                         int64_t* num_nodes) {
+  data::GeneratorOptions o;
+  o.num_nodes = 4096;
+  o.num_edges = 4 * o.num_nodes;
+  o.num_features = 4;
+  o.num_classes = 3;
+  o.seed = 83;
+  const data::Dataset ds = std::move(data::GenerateDataset(o)).value();
+  ds.graph.DirectedEdgesWithSelfLoops(src, dst);
+  *num_nodes = ds.graph.num_nodes();
+}
+
+TEST(FusedGat, ParallelPathWithDropoutMatchesChainBitwise) {
+  std::vector<int64_t> src, dst;
+  int64_t n = 0;
+  GeneratedGraphEdges(&src, &dst, &n);
+  const int64_t f = 16;
+  Rng rng(89);
+  const Tensor h_val = Tensor::Randn(n, f, &rng);
+  const Tensor sl_val = Tensor::Randn(n, 1, &rng);
+  const Tensor sr_val = Tensor::Randn(n, 1, &rng);
+  Rng chain_rng(97), fused_rng(97);
+  const GatRun chain =
+      RunGat(false, h_val, sl_val, sr_val, src, dst, n, 0.5f, &chain_rng);
+  const GatRun fused =
+      RunGat(true, h_val, sl_val, sr_val, src, dst, n, 0.5f, &fused_rng);
+  ExpectSameBits(fused.out, chain.out, "parallel fused GAT forward");
+  ExpectSameBits(fused.d_h, chain.d_h, "parallel fused GAT d_h");
+  ExpectSameBits(fused.d_sl, chain.d_sl, "parallel fused GAT d_sl");
+  ExpectSameBits(fused.d_sr, chain.d_sr, "parallel fused GAT d_sr");
+  EXPECT_EQ(fused_rng.Next(), chain_rng.Next()) << "RNG stream diverged";
+}
+
+// ------------------------------------------------ elementwise ops, dropout
+
+TEST(ElementwiseOps, DropoutMatchesSerialBernoulliReference) {
+  const Tensor x = TestMatrix(1024, 80, 101);  // 81920 elements
+  const float p = 0.3f;
+  Rng rng(103), ref_rng(103);
+  Variable xv(x, /*requires_grad=*/true);
+  const Variable y = ops::Dropout(xv, p, /*training=*/true, &rng);
+  Tensor want_y(x.rows(), x.cols()), want_mask(x.rows(), x.cols());
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const bool kept = !ref_rng.Bernoulli(p);
+    want_mask[i] = kept ? 1.0f / (1.0f - p) : 0.0f;
+    want_y[i] = x[i] * want_mask[i];
+  }
+  ExpectSameBits(y.value(), want_y, "Dropout output");
+  // Under an all-ones upstream gradient, d_x is the mask itself.
+  ops::SumAll(y).Backward();
+  ExpectSameBits(xv.grad(), want_mask, "Dropout mask");
+  EXPECT_EQ(rng.Next(), ref_rng.Next()) << "RNG stream diverged";
+}
+
+TEST(ElementwiseOps, EluMatchesScalarFormula) {
+  Tensor x = TestMatrix(1024, 80, 107);
+  x[1] = 100.0f;  // exp(100) overflows: the discarded side must not leak
+  const Tensor w = TestMatrix(1024, 80, 108);
+  Variable xv(x, /*requires_grad=*/true);
+  const Variable y = ops::Elu(xv, 0.7f);
+  ops::SumAll(ops::Mul(y, Variable(w))).Backward();
+  Tensor want(x.rows(), x.cols()), want_dx(x.rows(), x.cols());
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    want[i] = x[i] > 0.0f ? x[i] : 0.7f * (std::exp(x[i]) - 1.0f);
+    want_dx[i] = w[i] * (x[i] > 0.0f ? 1.0f : want[i] + 0.7f);
+  }
+  ExpectSameBits(y.value(), want, "Elu forward");
+  ExpectSameBits(xv.grad(), want_dx, "Elu backward");
+}
+
 #ifdef _OPENMP
+/// Forward value and input gradient of a unary op side by side, under a
+/// non-uniform upstream gradient (loss = sum(op(x) * w)).
+template <typename Op>
+Tensor UnaryForwardBackward(Op op, const Tensor& x, const Tensor& w) {
+  Variable xv(x, /*requires_grad=*/true);
+  const Variable y = op(xv);
+  ops::SumAll(ops::Mul(y, Variable(w))).Backward();
+  return ops::ConcatCols({y, Variable(xv.grad())}).value();
+}
+
+TEST(ThreadInvariance, ReluEluForwardBackward) {
+  const Tensor x = TestMatrix(1024, 80, 109);  // 81920 elements
+  const Tensor w = TestMatrix(1024, 80, 113);
+  ExpectThreadCountInvariant(
+      [&] {
+        return UnaryForwardBackward(
+            [](const Variable& v) { return ops::Relu(v); }, x, w);
+      },
+      "Relu forward+backward");
+  ExpectThreadCountInvariant(
+      [&] {
+        return UnaryForwardBackward(
+            [](const Variable& v) { return ops::Elu(v); }, x, w);
+      },
+      "Elu forward+backward");
+}
+
+TEST(ThreadInvariance, FusedGatParallelPathWithDropout) {
+  std::vector<int64_t> src, dst;
+  int64_t n = 0;
+  GeneratedGraphEdges(&src, &dst, &n);
+  const int64_t f = 16;
+  Rng rng(127);
+  const Tensor h_val = Tensor::Randn(n, f, &rng);
+  const Tensor sl_val = Tensor::Randn(n, 1, &rng);
+  const Tensor sr_val = Tensor::Randn(n, 1, &rng);
+  auto run = [&](int threads, uint64_t* next_draw) {
+    omp_set_num_threads(threads);
+    Rng drop_rng(131);
+    GatRun r = RunGat(true, h_val, sl_val, sr_val, src, dst, n, 0.5f,
+                      &drop_rng);
+    *next_draw = drop_rng.Next();
+    return r;
+  };
+  const int old_threads = omp_get_max_threads();
+  uint64_t next1 = 0, next4 = 0;
+  const GatRun t1 = run(1, &next1);
+  const GatRun t4 = run(4, &next4);
+  omp_set_num_threads(old_threads);
+  ExpectSameBits(t4.out, t1.out, "fused GAT forward, 1 vs 4 threads");
+  ExpectSameBits(t4.d_h, t1.d_h, "fused GAT d_h, 1 vs 4 threads");
+  ExpectSameBits(t4.d_sl, t1.d_sl, "fused GAT d_sl, 1 vs 4 threads");
+  ExpectSameBits(t4.d_sr, t1.d_sr, "fused GAT d_sr, 1 vs 4 threads");
+  EXPECT_EQ(next4, next1) << "RNG position depends on thread count";
+}
+
 TEST(ThreadInvariance, FusedGatForward) {
   const int64_t n = 200, f = 32;
   std::vector<int64_t> src, dst;
