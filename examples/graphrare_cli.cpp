@@ -63,12 +63,8 @@
 //       --predict=0,5,17 --topk=3
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -79,86 +75,21 @@
 #include "graph/io.h"
 #include "graph/reorder.h"
 
+#include "flags.h"
+
 using namespace graphrare;
 
 namespace {
 
 /// Every flag the CLI reads (see Usage above).
-const std::set<std::string>& KnownFlags() {
-  static const std::set<std::string> known = {
-      "backbone", "batch-size", "csr-reorder", "d-max", "dataset",
-      "epochs", "fanouts", "iterations", "k-max", "lambda", "lr",
-      "minibatch", "patience", "predict", "rare", "rl-block-fanouts",
-      "rl-block-seeds", "rl-blocks", "rl-entropy-refresh", "rl-partition",
-      "rl-prefetch-depth", "rl-producers", "rl-steps", "sample-replace",
-      "save-artifact", "save-graph", "seed", "serve-artifact",
-      "serve-fanouts", "splits", "telemetry", "topk"};
-  return known;
-}
-
-[[noreturn]] void InvalidValue(const std::string& key,
-                               const std::string& value) {
-  std::fprintf(stderr, "invalid value for --%s: '%s'\n", key.c_str(),
-               value.c_str());
-  std::exit(2);
-}
-
-/// Minimal --key=value parser. Unknown flags and malformed numbers exit 2.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unrecognised argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      arg = arg.substr(2);
-      const size_t eq = arg.find('=');
-      const std::string key = arg.substr(0, eq);
-      if (KnownFlags().count(key) == 0) {
-        std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-        std::exit(2);
-      }
-      // A bare flag is a boolean switch.
-      values_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& def) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return def;
-    const char* begin = it->second.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || errno != 0) {
-      InvalidValue(key, it->second);
-    }
-    return v;
-  }
-  int GetInt(const std::string& key, int def) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return def;
-    const char* begin = it->second.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno != 0 || v < INT_MIN ||
-        v > INT_MAX) {
-      InvalidValue(key, it->second);
-    }
-    return static_cast<int>(v);
-  }
-  bool GetBool(const std::string& key) const { return values_.count(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+const std::set<std::string> kKnownFlags = {
+    "backbone", "batch-size", "csr-reorder", "d-max", "dataset",
+    "epochs", "fanouts", "iterations", "k-max", "lambda", "lr",
+    "minibatch", "patience", "predict", "rare", "rl-block-fanouts",
+    "rl-block-seeds", "rl-blocks", "rl-entropy-refresh", "rl-partition",
+    "rl-prefetch-depth", "rl-producers", "rl-steps", "sample-replace",
+    "save-artifact", "save-graph", "seed", "serve-artifact",
+    "serve-fanouts", "splits", "telemetry", "topk"};
 
 /// Parses "10,10,5" into a fanout vector (-1 entries = unlimited fanout).
 std::vector<int64_t> ParseFanouts(const std::string& spec) {
@@ -294,32 +225,50 @@ int ServeArtifact(const Flags& flags) {
   return 0;
 }
 
-/// Saves the last run's artifact if --save-artifact was given. Returns
-/// false on failure.
-bool MaybeSaveArtifact(const Flags& flags, const core::GraphRareResult& run,
-                       const data::Dataset& dataset) {
-  const std::string path = flags.Get("save-artifact", "");
-  if (path.empty()) return true;
+/// Writes what --telemetry, --save-graph and --save-artifact ask for from
+/// the last split's co-training run. Returns the process exit code.
+int WriteRunOutputs(const Flags& flags, const core::GraphRareResult& run,
+                    const data::Dataset& dataset) {
+  const std::string telemetry_path = flags.Get("telemetry", "");
+  if (!telemetry_path.empty()) {
+    const Status s = core::WriteTelemetryCsv(run, telemetry_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("telemetry written to %s\n", telemetry_path.c_str());
+  }
+  const std::string graph_path = flags.Get("save-graph", "");
+  if (!graph_path.empty()) {
+    const Status s = graph::SaveGraph(run.best_graph, graph_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "save-graph: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("optimized graph written to %s\n", graph_path.c_str());
+  }
+  const std::string artifact_path = flags.Get("save-artifact", "");
+  if (artifact_path.empty()) return 0;
   auto artifact_or = run.ExportArtifact(dataset);
   if (!artifact_or.ok()) {
     std::fprintf(stderr, "save-artifact: %s\n",
                  artifact_or.status().ToString().c_str());
-    return false;
+    return 1;
   }
-  const Status s = artifact_or->Save(path);
+  const Status s = artifact_or->Save(artifact_path);
   if (!s.ok()) {
     std::fprintf(stderr, "save-artifact: %s\n", s.ToString().c_str());
-    return false;
+    return 1;
   }
-  std::printf("model artifact written to %s\n", path.c_str());
-  return true;
+  std::printf("model artifact written to %s\n", artifact_path.c_str());
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, kKnownFlags);
 
   // Serve mode: no dataset, no training — just artifact + queries.
   if (!flags.Get("serve-artifact", "").empty()) {
@@ -458,26 +407,7 @@ int main(int argc, char** argv) {
                 agg.mean_entropy_seconds,
                 static_cast<long long>(agg.last_run.initial_edges),
                 static_cast<long long>(agg.last_run.final_edges));
-    const std::string telemetry_path = flags.Get("telemetry", "");
-    if (!telemetry_path.empty()) {
-      const Status s = core::WriteTelemetryCsv(agg.last_run, telemetry_path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("telemetry written to %s\n", telemetry_path.c_str());
-    }
-    const std::string graph_path = flags.Get("save-graph", "");
-    if (!graph_path.empty()) {
-      const Status s = graph::SaveGraph(agg.last_run.best_graph, graph_path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "save-graph: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("optimized graph written to %s\n", graph_path.c_str());
-    }
-    if (!MaybeSaveArtifact(flags, agg.last_run, dataset)) return 1;
-    return 0;
+    return WriteRunOutputs(flags, agg.last_run, dataset);
   }
 
   const auto agg = core::RunGraphRare(dataset, splits, opts);
@@ -487,25 +417,5 @@ int main(int argc, char** argv) {
   std::printf("homophily: %.3f -> %.3f, entropy build %.3fs\n",
               agg.mean_initial_homophily, agg.mean_final_homophily,
               agg.mean_entropy_seconds);
-
-  const std::string telemetry_path = flags.Get("telemetry", "");
-  if (!telemetry_path.empty()) {
-    const Status s = core::WriteTelemetryCsv(agg.last_run, telemetry_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("telemetry written to %s\n", telemetry_path.c_str());
-  }
-  const std::string graph_path = flags.Get("save-graph", "");
-  if (!graph_path.empty()) {
-    const Status s = graph::SaveGraph(agg.last_run.best_graph, graph_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "save-graph: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("optimized graph written to %s\n", graph_path.c_str());
-  }
-  if (!MaybeSaveArtifact(flags, agg.last_run, dataset)) return 1;
-  return 0;
+  return WriteRunOutputs(flags, agg.last_run, dataset);
 }

@@ -14,6 +14,9 @@
 //                   [--batch-budget-ms=0] [--breaker-threshold=3]
 //                   [--breaker-cooldown-ms=5000]
 //
+// Unknown flags, malformed numbers and out-of-range server options (say
+// --http=70000 or --slo-ms=0) are rejected with exit code 2.
+//
 // Robustness knobs (HTTP mode): --deadline-ms gives every /v1/predict and
 // /v1/topk request a default deadline (clients override per request with
 // X-Deadline-Ms); queued work that outlives its deadline is shed with
@@ -48,6 +51,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -60,9 +64,17 @@
 #include "net/batcher.h"
 #include "net/server.h"
 
+#include "flags.h"
+
 using namespace graphrare;
 
 namespace {
+
+/// Every flag the daemon reads (see Usage above).
+const std::set<std::string> kKnownFlags = {
+    "artifact", "batch", "batch-budget-ms", "breaker-cooldown-ms",
+    "breaker-threshold", "deadline-ms", "fanouts", "http", "max-batch",
+    "max-delay-ms", "queries", "seed", "slo-ms", "topk", "workers"};
 
 std::atomic<net::HttpServer*> g_server{nullptr};
 volatile std::sig_atomic_t g_stop = 0;
@@ -131,57 +143,32 @@ struct Dispatcher {
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  std::string artifact_path, queries_path, fanout_spec;
-  int topk = 1;
-  bool batch = false;
-  uint64_t seed = 1;
-  int http_port = -1;
-  net::BatcherOptions batcher_opts;
-  double slo_ms = 50.0;
-  double deadline_ms = 0.0;
-  int breaker_threshold = 3;
-  double breaker_cooldown_ms = 5000.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + std::strlen(prefix)
-                                       : nullptr;
-    };
-    if (const char* v = value("--artifact=")) {
-      artifact_path = v;
-    } else if (const char* v = value("--queries=")) {
-      queries_path = v;
-    } else if (const char* v = value("--fanouts=")) {
-      fanout_spec = v;
-    } else if (const char* v = value("--topk=")) {
-      topk = std::atoi(v);
-    } else if (const char* v = value("--seed=")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (const char* v = value("--http=")) {
-      http_port = std::atoi(v);
-    } else if (const char* v = value("--max-batch=")) {
-      batcher_opts.max_batch = std::atoi(v);
-    } else if (const char* v = value("--max-delay-ms=")) {
-      batcher_opts.max_queue_delay_ms = std::atof(v);
-    } else if (const char* v = value("--workers=")) {
-      batcher_opts.num_workers = std::atoi(v);
-    } else if (const char* v = value("--slo-ms=")) {
-      slo_ms = std::atof(v);
-    } else if (const char* v = value("--deadline-ms=")) {
-      deadline_ms = std::atof(v);
-    } else if (const char* v = value("--batch-budget-ms=")) {
-      batcher_opts.batch_budget_ms = std::atof(v);
-    } else if (const char* v = value("--breaker-threshold=")) {
-      breaker_threshold = std::atoi(v);
-    } else if (const char* v = value("--breaker-cooldown-ms=")) {
-      breaker_cooldown_ms = std::atof(v);
-    } else if (arg == "--batch") {
-      batch = true;
-    } else {
-      std::fprintf(stderr, "unrecognised argument: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  const Flags flags(argc, argv, kKnownFlags);
+  const std::string artifact_path = flags.Get("artifact", "");
+  const std::string queries_path = flags.Get("queries", "");
+  const std::string fanout_spec = flags.Get("fanouts", "");
+  const int topk = flags.GetInt("topk", 1);
+  const bool batch = flags.GetBool("batch");
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const int http_port = flags.GetInt("http", -1);
+
+  net::HttpServerOptions server_opts;
+  server_opts.port = http_port;
+  server_opts.slo_ms = flags.GetDouble("slo-ms", server_opts.slo_ms);
+  server_opts.default_deadline_ms =
+      flags.GetDouble("deadline-ms", server_opts.default_deadline_ms);
+  server_opts.reload_breaker_threshold =
+      flags.GetInt("breaker-threshold", server_opts.reload_breaker_threshold);
+  server_opts.reload_breaker_cooldown_ms = flags.GetDouble(
+      "breaker-cooldown-ms", server_opts.reload_breaker_cooldown_ms);
+  net::BatcherOptions& batcher_opts = server_opts.batcher;
+  batcher_opts.max_batch = flags.GetInt("max-batch", batcher_opts.max_batch);
+  batcher_opts.max_queue_delay_ms =
+      flags.GetDouble("max-delay-ms", batcher_opts.max_queue_delay_ms);
+  batcher_opts.num_workers = flags.GetInt("workers", batcher_opts.num_workers);
+  batcher_opts.batch_budget_ms =
+      flags.GetDouble("batch-budget-ms", batcher_opts.batch_budget_ms);
+
   if (artifact_path.empty()) {
     std::fprintf(stderr,
                  "usage: graphrare_serve --artifact=model.grare "
@@ -192,7 +179,11 @@ int main(int argc, char** argv) {
                  "[--breaker-cooldown-ms=MS]\n");
     return 2;
   }
-  if (const Status s = batcher_opts.Validate(); !s.ok()) {
+  // HTTP mode checks every server option (the batcher's included) up
+  // front, so a bad value exits 2 instead of aborting in HttpServer.
+  if (const Status s = http_port >= 0 ? server_opts.Validate()
+                                      : batcher_opts.Validate();
+      !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 2;
   }
@@ -240,13 +231,6 @@ int main(int argc, char** argv) {
   InstallSignalHandlers();
 
   if (http_port >= 0) {
-    net::HttpServerOptions server_opts;
-    server_opts.port = http_port;
-    server_opts.slo_ms = slo_ms;
-    server_opts.default_deadline_ms = deadline_ms;
-    server_opts.reload_breaker_threshold = breaker_threshold;
-    server_opts.reload_breaker_cooldown_ms = breaker_cooldown_ms;
-    server_opts.batcher = batcher_opts;
     net::HttpServer server(handle, batcher, server_opts);
     if (const Status s = server.Start(); !s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
@@ -256,7 +240,7 @@ int main(int argc, char** argv) {
                 "max_delay=%.1fms, workers=%d, slo=%.1fms)\n",
                 server_opts.host.c_str(), server.port(),
                 batcher_opts.max_batch, batcher_opts.max_queue_delay_ms,
-                batcher_opts.num_workers, slo_ms);
+                batcher_opts.num_workers, server_opts.slo_ms);
     std::fflush(stdout);
     g_server.store(&server);
     if (g_stop) server.Shutdown();  // signal raced the store

@@ -28,15 +28,11 @@ Status Errno(const char* what) {
   return Status::Internal(StrFormat("%s: %s", what, std::strerror(errno)));
 }
 
-std::string ErrorBody(const std::string& message) {
-  return StrFormat("{\"error\":\"%s\"}", JsonEscape(message).c_str());
-}
-
 HttpResponse ErrorResponse(int status, const std::string& message,
-                           bool keep_alive = true) {
+                           bool keep_alive) {
   HttpResponse r;
   r.status = status;
-  r.body = ErrorBody(message);
+  r.body = StrFormat("{\"error\":\"%s\"}", JsonEscape(message).c_str());
   r.keep_alive = keep_alive;
   return r;
 }
@@ -382,12 +378,10 @@ void HttpServer::ParseBuffered(Connection* conn) {
     if (state == HttpParser::State::kError) {
       // Framing is unrecoverable: answer (in pipeline order) and close.
       conn->stopped_reading = true;
-      const uint64_t slot = conn->next_dispatch_slot++;
-      const Stopwatch watch;
-      FinishRequest(conn, slot, kRouteOther, watch.ElapsedMillis(),
-                    ErrorResponse(conn->parser.error_status_code(),
-                                  conn->parser.error().message(),
-                                  /*keep_alive=*/false));
+      const Ticket ticket{conn->id, conn->next_dispatch_slot++, kRouteOther,
+                          /*keep_alive=*/false, Stopwatch()};
+      Reject(conn, ticket, conn->parser.error_status_code(),
+             conn->parser.error().message());
       break;
     }
     HandleRequest(conn, std::move(conn->parser.request()));
@@ -405,19 +399,30 @@ void HttpServer::ParseBuffered(Connection* conn) {
   UpdateEventMask(conn);
 }
 
-void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
-  const uint64_t slot = conn->next_dispatch_slot++;
-  const bool keep_alive = request.keep_alive;
-  if (!keep_alive) conn->stopped_reading = true;
-  const std::string path = TargetPath(request.target);
-  const Stopwatch watch;
+HttpServer::Route HttpServer::RouteOf(const std::string& path) const {
+  for (int r = 0; r < kRouteOther; ++r) {
+    if (path == routes_[r].name) return static_cast<Route>(r);
+  }
+  return kRouteOther;
+}
 
-  if (path == "/healthz") {
-    if (request.method != "GET") {
-      FinishRequest(conn, slot, kRouteHealthz, watch.ElapsedMillis(),
-                    ErrorResponse(405, "use GET", keep_alive));
-      return;
-    }
+void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
+  const std::string path = TargetPath(request.target);
+  const Ticket ticket{conn->id, conn->next_dispatch_slot++, RouteOf(path),
+                      request.keep_alive, Stopwatch()};
+  if (!ticket.keep_alive) conn->stopped_reading = true;
+  if (ticket.route == kRouteOther) {
+    Reject(conn, ticket, 404, "no such route: " + path);
+    return;
+  }
+  const bool is_get =
+      ticket.route == kRouteHealthz || ticket.route == kRouteMetrics;
+  if (request.method != (is_get ? "GET" : "POST")) {
+    Reject(conn, ticket, 405, is_get ? "use GET" : "use POST");
+    return;
+  }
+
+  if (ticket.route == kRouteHealthz) {
     const auto engine = engine_->Get();
     const BreakerState breaker =
         static_cast<BreakerState>(breaker_state_.load());
@@ -426,7 +431,7 @@ void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
                                    ? "half_open"
                                    : "closed";
     HttpResponse r;
-    r.keep_alive = keep_alive;
+    r.keep_alive = ticket.keep_alive;
     r.body = StrFormat(
         "{\"status\":\"%s\",\"generation\":%lld,\"nodes\":%lld,"
         "\"classes\":%lld,\"mode\":\"%s\",\"reload_breaker\":\"%s\"}",
@@ -435,79 +440,49 @@ void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
         static_cast<long long>(engine->num_nodes()),
         static_cast<long long>(engine->num_classes()),
         engine->full_graph_mode() ? "full" : "sampled", breaker_name);
-    FinishRequest(conn, slot, kRouteHealthz, watch.ElapsedMillis(),
-                  std::move(r));
+    FinishRequest(conn, ticket, std::move(r));
     return;
   }
-  if (path == "/metrics") {
-    if (request.method != "GET") {
-      FinishRequest(conn, slot, kRouteMetrics, watch.ElapsedMillis(),
-                    ErrorResponse(405, "use GET", keep_alive));
-      return;
-    }
+  if (ticket.route == kRouteMetrics) {
     HttpResponse r;
-    r.keep_alive = keep_alive;
+    r.keep_alive = ticket.keep_alive;
     r.content_type = "text/plain; version=0.0.4";
     r.body = MetricsText();
-    FinishRequest(conn, slot, kRouteMetrics, watch.ElapsedMillis(),
-                  std::move(r));
+    FinishRequest(conn, ticket, std::move(r));
     return;
   }
-  if (path == "/v1/predict" || path == "/v1/topk" || path == "/v1/reload") {
-    if (request.method != "POST") {
-      const Route route = path == "/v1/predict" ? kRoutePredict
-                          : path == "/v1/topk"  ? kRouteTopk
-                                                : kRouteReload;
-      FinishRequest(conn, slot, route, watch.ElapsedMillis(),
-                    ErrorResponse(405, "use POST", keep_alive));
+
+  // Per-request deadline: the route default, overridable (within the
+  // configured ceiling) by X-Deadline-Ms.
+  double deadline_ms = options_.default_deadline_ms;
+  if (const std::string* header = request.FindHeader("x-deadline-ms")) {
+    char* end = nullptr;
+    const double v = std::strtod(header->c_str(), &end);
+    if (end == header->c_str() || *end != '\0' || !(v > 0.0)) {
+      Reject(conn, ticket, 400, "X-Deadline-Ms must be a positive number");
       return;
     }
-    // Per-request deadline: the route default, overridable (within the
-    // configured ceiling) by X-Deadline-Ms.
-    double deadline_ms = options_.default_deadline_ms;
-    if (const std::string* header = request.FindHeader("x-deadline-ms")) {
-      char* end = nullptr;
-      const double v = std::strtod(header->c_str(), &end);
-      if (end == header->c_str() || *end != '\0' || !(v > 0.0)) {
-        const Route route = path == "/v1/predict" ? kRoutePredict
-                            : path == "/v1/topk"  ? kRouteTopk
-                                                  : kRouteReload;
-        FinishRequest(conn, slot, route, watch.ElapsedMillis(),
-                      ErrorResponse(
-                          400, "X-Deadline-Ms must be a positive number",
-                          keep_alive));
-        return;
-      }
-      deadline_ms = std::min(v, options_.max_deadline_ms);
-    }
-    if (path == "/v1/predict") {
-      HandlePredict(conn, slot, keep_alive, deadline_ms, request.body);
-    } else if (path == "/v1/topk") {
-      HandleTopK(conn, slot, keep_alive, deadline_ms, request.body);
-    } else {
-      HandleReload(conn, slot, keep_alive, request.body);
-    }
-    return;
+    deadline_ms = std::min(v, options_.max_deadline_ms);
   }
-  FinishRequest(conn, slot, kRouteOther, watch.ElapsedMillis(),
-                ErrorResponse(404, "no such route: " + path, keep_alive));
+  if (ticket.route == kRoutePredict) {
+    HandlePredict(conn, ticket, deadline_ms, request.body);
+  } else if (ticket.route == kRouteTopk) {
+    HandleTopK(conn, ticket, deadline_ms, request.body);
+  } else {
+    HandleReload(conn, ticket, request.body);
+  }
 }
 
-void HttpServer::HandlePredict(Connection* conn, uint64_t slot,
-                               bool keep_alive, double deadline_ms,
-                               const std::string& body) {
-  const Stopwatch watch;
+void HttpServer::HandlePredict(Connection* conn, const Ticket& ticket,
+                               double deadline_ms, const std::string& body) {
   auto doc_or = JsonValue::Parse(body);
   if (!doc_or.ok()) {
-    FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                  ErrorResponse(400, doc_or.status().message(), keep_alive));
+    Reject(conn, ticket, 400, doc_or.status().message());
     return;
   }
   const JsonValue* nodes = doc_or->Find("nodes");
   if (nodes == nullptr || !nodes->is_array() || nodes->items().empty()) {
-    FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                  ErrorResponse(400, "body must be {\"nodes\":[id,...]}",
-                                keep_alive));
+    Reject(conn, ticket, 400, "body must be {\"nodes\":[id,...]}");
     return;
   }
   std::vector<int64_t> ids;
@@ -515,76 +490,16 @@ void HttpServer::HandlePredict(Connection* conn, uint64_t slot,
   for (const JsonValue& item : nodes->items()) {
     auto id_or = item.AsInt64();
     if (!id_or.ok()) {
-      FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                    ErrorResponse(400, "nodes must be integers", keep_alive));
+      Reject(conn, ticket, 400, "nodes must be integers");
       return;
     }
     ids.push_back(*id_or);
   }
-
-  const uint64_t conn_id = conn->id;
-  const std::shared_ptr<Liveness> liveness = liveness_;
-  const Status admitted = batcher_->Submit(
-      std::move(ids), deadline_ms,
-      [this, liveness, conn_id, slot, keep_alive,
-       watch](Result<std::vector<serve::Prediction>> result) {
-        // Worker thread: marshal onto the reactor — unless the server has
-        // been destroyed under a longer-lived external batcher.
-        std::lock_guard<std::mutex> lock(liveness->mu);
-        if (!liveness->alive) return;
-        loop_.Post([this, conn_id, slot, keep_alive, watch,
-                    result = std::move(result)]() mutable {
-          --inflight_;
-          HttpResponse r;
-          r.keep_alive = keep_alive;
-          bool was_shed = false;
-          if (result.ok()) {
-            r.body = PredictionsToJson(result.value());
-          } else if (result.status().code() ==
-                     StatusCode::kDeadlineExceeded) {
-            // Shed in queue: tell the client to back off briefly.
-            r.status = 503;
-            r.retry_after_s = 1;
-            r.body = ErrorBody(result.status().message());
-            was_shed = true;
-          } else {
-            r.status =
-                result.status().code() == StatusCode::kOutOfRange ? 400 : 500;
-            r.body = ErrorBody(result.status().message());
-          }
-          if (was_shed) routes_[kRoutePredict].shed.fetch_add(1);
-          const auto it = conns_.find(conn_id);
-          if (it == conns_.end()) {
-            client_gone_.fetch_add(1);
-            RouteMetrics& m = routes_[kRoutePredict];
-            m.requests.fetch_add(1);
-            if (r.status >= 400) m.errors.fetch_add(1);
-            return;
-          }
-          Connection* c = it->second.get();
-          --c->inflight;
-          // FinishRequest's flush refreshes the event mask itself — and may
-          // close the connection, so c must not be touched afterwards.
-          FinishRequest(c, slot, kRoutePredict, watch.ElapsedMillis(),
-                        std::move(r));
-        });
-      });
-  if (!admitted.ok()) {
-    // Queue full (or shutdown): shed at admission with the same contract.
-    HttpResponse r = ErrorResponse(503, admitted.message(), keep_alive);
-    r.retry_after_s = 1;
-    routes_[kRoutePredict].shed.fetch_add(1);
-    FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                  std::move(r));
-    return;
-  }
-  ++inflight_;
-  ++conn->inflight;
+  Submit(conn, ticket, deadline_ms, std::move(ids), PredictionsToJson);
 }
 
-void HttpServer::HandleTopK(Connection* conn, uint64_t slot, bool keep_alive,
+void HttpServer::HandleTopK(Connection* conn, const Ticket& ticket,
                             double deadline_ms, const std::string& body) {
-  const Stopwatch watch;
   auto doc_or = JsonValue::Parse(body);
   Result<int64_t> node_or =
       Status::InvalidArgument("body must be {\"node\":id,\"k\":K}");
@@ -605,84 +520,28 @@ void HttpServer::HandleTopK(Connection* conn, uint64_t slot, bool keep_alive,
     node_or = doc_or.status();
   }
   if (!node_or.ok()) {
-    FinishRequest(conn, slot, kRouteTopk, watch.ElapsedMillis(),
-                  ErrorResponse(400, node_or.status().message(), keep_alive));
+    Reject(conn, ticket, 400, node_or.status().message());
     return;
   }
   const int64_t node = *node_or;
-
-  const uint64_t conn_id = conn->id;
-  const std::shared_ptr<Liveness> liveness = liveness_;
-  const Status admitted = batcher_->Submit(
-      {node}, deadline_ms,
-      [this, liveness, conn_id, slot, keep_alive, node, k,
-       watch](Result<std::vector<serve::Prediction>> result) {
-        std::lock_guard<std::mutex> lock(liveness->mu);
-        if (!liveness->alive) return;
-        loop_.Post([this, conn_id, slot, keep_alive, node, k, watch,
-                    result = std::move(result)]() mutable {
-          --inflight_;
-          HttpResponse r;
-          r.keep_alive = keep_alive;
-          bool was_shed = false;
-          if (result.ok()) {
-            r.body = TopKToJson(
-                node, serve::TopKOf(result.value()[0], static_cast<int>(k)));
-          } else if (result.status().code() ==
-                     StatusCode::kDeadlineExceeded) {
-            r.status = 503;
-            r.retry_after_s = 1;
-            r.body = ErrorBody(result.status().message());
-            was_shed = true;
-          } else {
-            r.status =
-                result.status().code() == StatusCode::kOutOfRange ? 400 : 500;
-            r.body = ErrorBody(result.status().message());
-          }
-          if (was_shed) routes_[kRouteTopk].shed.fetch_add(1);
-          const auto it = conns_.find(conn_id);
-          if (it == conns_.end()) {
-            client_gone_.fetch_add(1);
-            RouteMetrics& m = routes_[kRouteTopk];
-            m.requests.fetch_add(1);
-            if (r.status >= 400) m.errors.fetch_add(1);
-            return;
-          }
-          Connection* c = it->second.get();
-          --c->inflight;
-          // May close the connection; c must not be touched afterwards.
-          FinishRequest(c, slot, kRouteTopk, watch.ElapsedMillis(),
-                        std::move(r));
-        });
-      });
-  if (!admitted.ok()) {
-    HttpResponse r = ErrorResponse(503, admitted.message(), keep_alive);
-    r.retry_after_s = 1;
-    routes_[kRouteTopk].shed.fetch_add(1);
-    FinishRequest(conn, slot, kRouteTopk, watch.ElapsedMillis(),
-                  std::move(r));
-    return;
-  }
-  ++inflight_;
-  ++conn->inflight;
+  Submit(conn, ticket, deadline_ms, {node},
+         [node, k](const std::vector<serve::Prediction>& preds) {
+           return TopKToJson(node,
+                             serve::TopKOf(preds[0], static_cast<int>(k)));
+         });
 }
 
-void HttpServer::HandleReload(Connection* conn, uint64_t slot,
-                              bool keep_alive, const std::string& body) {
-  const Stopwatch watch;
+void HttpServer::HandleReload(Connection* conn, const Ticket& ticket,
+                              const std::string& body) {
   auto doc_or = JsonValue::Parse(body);
   const JsonValue* path_value = doc_or.ok() ? doc_or->Find("path") : nullptr;
   if (path_value == nullptr || !path_value->is_string() ||
       path_value->AsString().empty()) {
-    FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
-                  ErrorResponse(400, "body must be {\"path\":\"...\"}",
-                                keep_alive));
+    Reject(conn, ticket, 400, "body must be {\"path\":\"...\"}");
     return;
   }
   if (reload_in_progress_) {
-    FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
-                  ErrorResponse(409, "a reload is already in progress",
-                                keep_alive));
+    Reject(conn, ticket, 409, "a reload is already in progress");
     return;
   }
   // Circuit breaker: while open, reloads are refused outright until the
@@ -692,17 +551,14 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
       BreakerState::kOpen) {
     const double remaining_ms = BreakerRemainingMs();
     if (remaining_ms > 0.0) {
-      HttpResponse r = ErrorResponse(
-          503,
-          StrFormat("reload circuit breaker is open (%d consecutive "
-                    "failures); retry after cooldown",
-                    options_.reload_breaker_threshold),
-          keep_alive);
-      r.retry_after_s =
-          static_cast<int>((remaining_ms + 999.0) / 1000.0);
-      routes_[kRouteReload].shed.fetch_add(1);
-      FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
-                    std::move(r));
+      FinishRequest(
+          conn, ticket,
+          ShedResponse(ticket,
+                       StrFormat("reload circuit breaker is open (%d "
+                                 "consecutive failures); retry after "
+                                 "cooldown",
+                                 options_.reload_breaker_threshold),
+                       static_cast<int>((remaining_ms + 999.0) / 1000.0)));
       return;
     }
     breaker_state_.store(static_cast<int>(BreakerState::kHalfOpen));
@@ -714,12 +570,10 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
 
   const std::string path = path_value->AsString();
   const serve::EngineOptions engine_options = engine_->Get()->options();
-  const uint64_t conn_id = conn->id;
   // The artifact load + engine build (the expensive part: a full forward
   // pass in full-graph mode) runs beside the serving engine; the reactor
   // and the batch workers keep answering on v1 throughout.
-  reload_thread_ = std::thread([this, path, engine_options, conn_id, slot,
-                                keep_alive, watch] {
+  reload_thread_ = std::thread([this, path, engine_options, ticket] {
     auto swap_in = [&]() -> Result<int64_t> {
       GR_ASSIGN_OR_RETURN(serve::ModelArtifact artifact,
                           serve::ModelArtifact::Load(path));
@@ -731,14 +585,12 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
       return engine_->generation();
     };
     auto generation_or = swap_in();
-    loop_.Post([this, path, conn_id, slot, keep_alive, watch,
-                generation_or = std::move(generation_or)] {
+    loop_.Post([this, path, ticket, generation_or = std::move(generation_or)] {
       reload_in_progress_ = false;
-      --inflight_;
       if (generation_or.ok()) reloads_total_.fetch_add(1);
       OnReloadOutcome(generation_or.ok());
       HttpResponse r;
-      r.keep_alive = keep_alive;
+      r.keep_alive = ticket.keep_alive;
       if (generation_or.ok()) {
         r.body = StrFormat(
             "{\"status\":\"ok\",\"generation\":%lld,\"path\":\"%s\"}",
@@ -753,19 +605,79 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
             JsonEscape(generation_or.status().ToString()).c_str(),
             static_cast<long long>(engine_->generation()));
       }
-      const auto it = conns_.find(conn_id);
-      if (it == conns_.end()) {
-        client_gone_.fetch_add(1);
-        routes_[kRouteReload].requests.fetch_add(1);
-        return;
-      }
-      Connection* c = it->second.get();
-      --c->inflight;
-      // May close the connection; c must not be touched afterwards.
-      FinishRequest(c, slot, kRouteReload, watch.ElapsedMillis(),
-                    std::move(r));
+      Complete(ticket, std::move(r));
     });
   });
+}
+
+void HttpServer::Submit(Connection* conn, const Ticket& ticket,
+                        double deadline_ms, std::vector<int64_t> ids,
+                        Render render) {
+  const std::shared_ptr<Liveness> liveness = liveness_;
+  const Status admitted = batcher_->Submit(
+      std::move(ids), deadline_ms,
+      [this, liveness, ticket,
+       render = std::move(render)](Result<std::vector<serve::Prediction>>
+                                       result) mutable {
+        // Worker thread: marshal onto the reactor — unless the server has
+        // been destroyed under a longer-lived external batcher.
+        std::lock_guard<std::mutex> lock(liveness->mu);
+        if (!liveness->alive) return;
+        loop_.Post([this, ticket, render = std::move(render),
+                    result = std::move(result)] {
+          HttpResponse r;
+          if (result.ok()) {
+            r.keep_alive = ticket.keep_alive;
+            r.body = render(result.value());
+          } else if (result.status().code() ==
+                     StatusCode::kDeadlineExceeded) {
+            // Shed in queue: tell the client to back off briefly.
+            r = ShedResponse(ticket, result.status().message());
+          } else {
+            r = ErrorResponse(
+                result.status().code() == StatusCode::kOutOfRange ? 400 : 500,
+                result.status().message(), ticket.keep_alive);
+          }
+          Complete(ticket, std::move(r));
+        });
+      });
+  if (!admitted.ok()) {
+    // Queue full (or shutdown): shed at admission with the same contract.
+    FinishRequest(conn, ticket, ShedResponse(ticket, admitted.message()));
+    return;
+  }
+  ++inflight_;
+  ++conn->inflight;
+}
+
+void HttpServer::Complete(const Ticket& ticket, HttpResponse response) {
+  --inflight_;
+  const auto it = conns_.find(ticket.conn_id);
+  if (it == conns_.end()) {
+    client_gone_.fetch_add(1);
+    Account(ticket, response.status);
+    return;
+  }
+  Connection* conn = it->second.get();
+  --conn->inflight;
+  // FinishRequest's flush refreshes the event mask itself — and may close
+  // the connection, so conn must not be touched afterwards.
+  FinishRequest(conn, ticket, std::move(response));
+}
+
+HttpResponse HttpServer::ShedResponse(const Ticket& ticket,
+                                      const std::string& message,
+                                      int retry_after_s) {
+  routes_[ticket.route].shed.fetch_add(1);
+  HttpResponse r = ErrorResponse(503, message, ticket.keep_alive);
+  r.retry_after_s = retry_after_s;
+  return r;
+}
+
+void HttpServer::Reject(Connection* conn, const Ticket& ticket, int status,
+                        const std::string& message) {
+  FinishRequest(conn, ticket,
+                ErrorResponse(status, message, ticket.keep_alive));
 }
 
 double HttpServer::BreakerRemainingMs() const {
@@ -793,21 +705,11 @@ void HttpServer::OnReloadOutcome(bool ok) {
   }
 }
 
-void HttpServer::FinishRequest(Connection* conn, uint64_t slot, Route route,
-                               double elapsed_ms, HttpResponse response) {
-  RouteMetrics& m = routes_[route];
-  m.requests.fetch_add(1);
-  if (response.status >= 400) m.errors.fetch_add(1);
-  if (elapsed_ms > options_.slo_ms) m.slo_violations.fetch_add(1);
-  m.latency_ms.Record(elapsed_ms);
-  const bool close_after = !response.keep_alive;
-  DeliverSerialized(conn, slot, SerializeResponse(response), close_after);
-}
-
-void HttpServer::DeliverSerialized(Connection* conn, uint64_t slot,
-                                   std::string bytes, bool close_after) {
-  if (close_after) conn->close_after_flush = true;
-  conn->ready.emplace(slot, std::move(bytes));
+void HttpServer::FinishRequest(Connection* conn, const Ticket& ticket,
+                               HttpResponse response) {
+  Account(ticket, response.status);
+  if (!response.keep_alive) conn->close_after_flush = true;
+  conn->ready.emplace(ticket.slot, SerializeResponse(response));
   while (true) {
     const auto it = conn->ready.find(conn->next_send_slot);
     if (it == conn->ready.end()) break;
@@ -817,6 +719,15 @@ void HttpServer::DeliverSerialized(Connection* conn, uint64_t slot,
   }
   conn->last_activity.Restart();
   FlushOutput(conn);
+}
+
+void HttpServer::Account(const Ticket& ticket, int status) {
+  const double elapsed_ms = ticket.watch.ElapsedMillis();
+  RouteMetrics& m = routes_[ticket.route];
+  m.requests.fetch_add(1);
+  if (status >= 400) m.errors.fetch_add(1);
+  if (elapsed_ms > options_.slo_ms) m.slo_violations.fetch_add(1);
+  m.latency_ms.Record(elapsed_ms);
 }
 
 void HttpServer::FlushOutput(Connection* conn) {

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,6 +43,7 @@
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "common/stopwatch.h"
 #include "net/batcher.h"
 #include "net/event_loop.h"
 #include "net/http.h"
@@ -132,6 +134,8 @@ class HttpServer {
 
   int64_t connections_total() const { return connections_total_.load(); }
   /// Responses computed but undeliverable because the client had gone.
+  /// Such a response still counts on its route exactly like a delivered
+  /// one (requests, errors, SLO violations, latency), on every route.
   int64_t responses_client_gone() const { return client_gone_.load(); }
   const ContinuousBatcher& batcher() const { return *batcher_; }
 
@@ -145,18 +149,54 @@ class HttpServer {
   void ReadInput(Connection* conn);
   void ParseBuffered(Connection* conn);
   void HandleRequest(Connection* conn, HttpRequest request);
-  void HandlePredict(Connection* conn, uint64_t slot, bool keep_alive,
+
+  /// Where one dispatched request's response goes and how it is counted.
+  /// Copied into asynchronous completions, so it holds the connection by
+  /// id: the connection may be gone by the time the answer is ready.
+  struct Ticket {
+    uint64_t conn_id = 0;
+    uint64_t slot = 0;  ///< pipeline position on the connection
+    Route route;
+    bool keep_alive = true;
+    Stopwatch watch;  ///< started at dispatch; the route latency clock
+  };
+  /// Renders a successful batcher answer as the response body.
+  using Render =
+      std::function<std::string(const std::vector<serve::Prediction>&)>;
+
+  Route RouteOf(const std::string& path) const;
+  // Route handlers: parse the body, then answer inline (client errors) or
+  // hand the request on (Submit / the reload thread).
+  void HandlePredict(Connection* conn, const Ticket& ticket,
                      double deadline_ms, const std::string& body);
-  void HandleTopK(Connection* conn, uint64_t slot, bool keep_alive,
-                  double deadline_ms, const std::string& body);
-  void HandleReload(Connection* conn, uint64_t slot, bool keep_alive,
+  void HandleTopK(Connection* conn, const Ticket& ticket, double deadline_ms,
+                  const std::string& body);
+  void HandleReload(Connection* conn, const Ticket& ticket,
                     const std::string& body);
-  /// Serialises + enqueues at `slot`, keeping pipelined responses in
-  /// request order, and records route metrics.
-  void FinishRequest(Connection* conn, uint64_t slot, Route route,
-                     double elapsed_ms, HttpResponse response);
-  void DeliverSerialized(Connection* conn, uint64_t slot, std::string bytes,
-                         bool close_after);
+  /// Admits `ids` to the batcher (503 + Retry-After when the queue is
+  /// full). The answer comes back through Complete: `render` builds the
+  /// 200 body; a queue-deadline expiry is a 503 shed, OutOfRange a 400,
+  /// any other failure a 500.
+  void Submit(Connection* conn, const Ticket& ticket, double deadline_ms,
+              std::vector<int64_t> ids, Render render);
+  /// Loop thread: the one completion path of every asynchronous route.
+  /// Releases the in-flight slot, then delivers through FinishRequest, or
+  /// counts the response exactly like a delivered one plus client_gone_
+  /// when the connection has closed meanwhile.
+  void Complete(const Ticket& ticket, HttpResponse response);
+  /// Counts a 503 shed on the ticket's route and builds its response.
+  HttpResponse ShedResponse(const Ticket& ticket, const std::string& message,
+                            int retry_after_s = 1);
+  /// Answers `ticket` inline with an {"error": message} body.
+  void Reject(Connection* conn, const Ticket& ticket, int status,
+              const std::string& message);
+  /// Records route metrics, then serialises + enqueues at the ticket's
+  /// slot, keeping pipelined responses in request order.
+  void FinishRequest(Connection* conn, const Ticket& ticket,
+                     HttpResponse response);
+  /// Counts one response on the ticket's route: request, error (status
+  /// >= 400), SLO violation, latency since dispatch.
+  void Account(const Ticket& ticket, int status);
   void FlushOutput(Connection* conn);
   void UpdateEventMask(Connection* conn);
   void CloseConnection(Connection* conn);

@@ -5,8 +5,9 @@
 // per-section checksum detection of torn/corrupt artifacts, EINTR storms
 // and short reads/writes on both the artifact and socket paths, deadline
 // shedding with 503 + Retry-After, the overload watchdog, reload rollback
-// under concurrent load at every injectable failure stage, and the reload
-// circuit breaker lifecycle. Run alone with `ctest -L chaos`.
+// under concurrent load at every injectable failure stage, the reload
+// circuit breaker lifecycle, and the accounting of responses whose client
+// has gone. Run alone with `ctest -L chaos`.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -496,6 +497,15 @@ class TestClient {
 
   bool ok() const { return fd_ >= 0; }
 
+  /// Closes with a TCP reset (SO_LINGER 0), so the server sees the
+  /// connection fail rather than a half-close it would still answer.
+  void Abort() {
+    struct linger lg = {1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    ::close(fd_);
+    fd_ = -1;
+  }
+
   void Send(const std::string& bytes) {
     size_t off = 0;
     while (off < bytes.size()) {
@@ -680,12 +690,13 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
                               "{\"nodes\":[0,1]}");
   }
   client.Request("POST", "/v1/predict", "{\"nodes\":[0,1]}");  // default
+  client.Request("POST", "/v1/topk", "{\"node\":0,\"k\":2}");    // default
 
   ClientResponse r;
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.body, ExpectedPredictBody({0, 1}));  // byte-exact despite chaos
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client.ReadResponse(&r)) << "shed response " << i;
     EXPECT_EQ(r.status, 503);
     EXPECT_EQ(r.headers["retry-after"], "1");
@@ -696,9 +707,12 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
   // Shed counters surface on /metrics.
   client.Request("GET", "/metrics");
   ASSERT_TRUE(client.ReadResponse(&r));
-  EXPECT_NE(r.body.find("graphrare_batch_shed_total 4"), std::string::npos);
+  EXPECT_NE(r.body.find("graphrare_batch_shed_total 5"), std::string::npos);
   EXPECT_NE(
       r.body.find("graphrare_requests_shed_total{route=\"/v1/predict\"} 4"),
+      std::string::npos);
+  EXPECT_NE(
+      r.body.find("graphrare_requests_shed_total{route=\"/v1/topk\"} 1"),
       std::string::npos);
 
   // Malformed X-Deadline-Ms is a client error, not a silent default.
@@ -707,6 +721,94 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
                             "{\"nodes\":[0]}");
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_EQ(r.status, 400);
+}
+
+// ---- Responses whose client has gone --------------------------------------
+
+/// Polls /metrics until it contains `needle`; returns the last body.
+std::string AwaitMetric(TestClient& client, const std::string& needle) {
+  std::string body;
+  for (int i = 0; i < 3000; ++i) {
+    client.Request("GET", "/metrics");
+    ClientResponse r;
+    if (!client.ReadResponse(&r)) return "";
+    body = r.body;
+    if (body.find(needle) != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return body;
+}
+
+/// Blocks until fail point `site` has fired at least once.
+void AwaitFired(const char* site) {
+  for (int i = 0; i < 3000 && failpoint::Fired(site) == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+TEST_F(ChaosServerTest, ClientGoneIsAccountedLikeADeliveredResponse) {
+  net::HttpServerOptions options;
+  options.slo_ms = 50.0;  // every stalled answer below violates it
+  StartServer(options);
+  TestClient admin(port());
+  ASSERT_TRUE(admin.ok());
+
+  // Predict: the batch stalls, and the client resets the connection while
+  // its request is being evaluated.
+  ASSERT_TRUE(failpoint::Configure("batcher.batch", "delay(500)").ok());
+  {
+    TestClient client(port());
+    ASSERT_TRUE(client.ok());
+    client.Request("POST", "/v1/predict", "{\"nodes\":[0,1]}");
+    AwaitFired("batcher.batch");
+    client.Abort();
+  }
+  std::string m =
+      AwaitMetric(admin, "graphrare_responses_client_gone_total 1\n");
+  EXPECT_NE(m.find("graphrare_responses_client_gone_total 1\n"),
+            std::string::npos)
+      << m;
+  EXPECT_NE(m.find("graphrare_requests_total{route=\"/v1/predict\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(
+      m.find("graphrare_request_errors_total{route=\"/v1/predict\"} 0\n"),
+      std::string::npos);
+  EXPECT_NE(m.find("graphrare_slo_violations_total{route=\"/v1/predict\","
+                   "slo_ms=\"50\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(m.find("graphrare_request_latency_ms{route=\"/v1/predict\","
+                   "quantile=\"0.5\"}"),
+            std::string::npos);
+  failpoint::Disable("batcher.batch");
+
+  // Reload: the artifact open stalls (then fails: the path is missing),
+  // and the client resets the connection meanwhile.
+  ASSERT_TRUE(failpoint::Configure("artifact.open", "delay(500)").ok());
+  {
+    TestClient client(port());
+    ASSERT_TRUE(client.ok());
+    client.Request("POST", "/v1/reload",
+                   "{\"path\":\"" + TempPath("chaos_gone_missing.grare") +
+                       "\"}");
+    AwaitFired("artifact.open");
+    client.Abort();
+  }
+  m = AwaitMetric(admin, "graphrare_responses_client_gone_total 2\n");
+  EXPECT_NE(m.find("graphrare_responses_client_gone_total 2\n"),
+            std::string::npos)
+      << m;
+  EXPECT_NE(m.find("graphrare_reload_failures_total 1\n"), std::string::npos);
+  EXPECT_NE(m.find("graphrare_requests_total{route=\"/v1/reload\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(
+      m.find("graphrare_request_errors_total{route=\"/v1/reload\"} 1\n"),
+      std::string::npos);
+  EXPECT_NE(m.find("graphrare_slo_violations_total{route=\"/v1/reload\","
+                   "slo_ms=\"50\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(m.find("graphrare_request_latency_ms{route=\"/v1/reload\","
+                   "quantile=\"0.5\"}"),
+            std::string::npos);
 }
 
 // ---- Reload rollback under concurrent load --------------------------------

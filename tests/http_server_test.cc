@@ -286,6 +286,7 @@ TEST_F(HttpServerTest, ErrorStatusesPerRouteContract) {
       {"POST", "/v1/predict", "{\"nodes\":[1.5]}", 400},
       {"POST", "/v1/predict", "{\"nodes\":[999999]}", 400},  // out of range
       {"POST", "/v1/topk", "{\"node\":5,\"k\":0}", 400},
+      {"POST", "/v1/topk", "{\"node\":999999}", 400},  // out of range
       {"POST", "/v1/reload", "{}", 400},
   };
   TestClient client(port());
