@@ -161,26 +161,32 @@ BENCHMARK(BM_SpMMSkewed)
     ->Args({100000, 2});
 
 // The fused GAT attention-edge kernel (score -> segment softmax ->
-// weighted scatter in one pass over the edges). range(1) = 1 also runs
-// the backward pass through the fused node.
+// weighted scatter in one pass over the edges), fed by GatScores.
+// range(1) = 1 also runs the backward pass through both; range(2) is the
+// head count, sharing 64 feature columns (4 heads x 16 is the GAT
+// backbone's first layer, 1 x 64 the single-head path).
 void BM_GatAttention(benchmark::State& state) {
   const int64_t n = state.range(0);
   const bool backward = state.range(1) != 0;
+  const int64_t heads = state.range(2);
   graph::Graph g = SkewedBenchGraph(n, n * 8);
   std::vector<int64_t> src, dst;
   g.DirectedEdgesWithSelfLoops(&src, &dst);
+  const auto edges = tensor::GroupGatEdges(src, dst, n, n);
   Rng rng(3);
-  const int64_t f = 64;
-  tensor::Tensor h_val = tensor::Tensor::Randn(n, f, &rng);
-  tensor::Tensor a_src = tensor::Tensor::Randn(f, 1, &rng);
-  tensor::Tensor a_dst = tensor::Tensor::Randn(f, 1, &rng);
+  const int64_t width = 64;
+  tensor::Tensor h_val = tensor::Tensor::Randn(n, width, &rng);
+  std::vector<tensor::Variable> a_src, a_dst;
+  for (int64_t k = 0; k < heads; ++k) {
+    a_src.emplace_back(tensor::Tensor::Randn(width / heads, 1, &rng));
+    a_dst.emplace_back(tensor::Tensor::Randn(width / heads, 1, &rng));
+  }
   for (auto _ : state) {
     tensor::Variable h(h_val, /*requires_grad=*/backward);
-    tensor::Variable sl = tensor::ops::MatMul(h, tensor::Variable(a_src));
-    tensor::Variable sr = tensor::ops::MatMul(h, tensor::Variable(a_dst));
     tensor::Variable out = tensor::ops::GatSegmentAttention(
-        h, sl, sr, src, dst, n, /*negative_slope=*/0.2f,
-        /*dropout_p=*/0.0f, /*training=*/backward, /*rng=*/nullptr);
+        h, tensor::ops::GatScores(h, a_src), tensor::ops::GatScores(h, a_dst),
+        edges, /*negative_slope=*/0.2f, /*dropout_p=*/0.0f,
+        /*training=*/backward, /*rng=*/nullptr);
     if (backward) {
       tensor::Variable loss = tensor::ops::SumAll(out);
       loss.Backward();
@@ -188,9 +194,28 @@ void BM_GatAttention(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(src.size()) * f);
+                          static_cast<int64_t>(src.size()) * width);
 }
-BENCHMARK(BM_GatAttention)->Args({20000, 0})->Args({20000, 1});
+BENCHMARK(BM_GatAttention)
+    ->Args({20000, 0, 1})
+    ->Args({20000, 1, 1})
+    ->Args({20000, 0, 4})
+    ->Args({20000, 1, 4});
+
+// Drawing and applying an inverted-dropout mask over 640k elements (the
+// GAT backbone's 10k x 64 hidden layer): the draws run in parallel chunks
+// from a jumped-ahead generator, bitwise the serial stream.
+void BM_DropoutMask(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(5);
+  const tensor::Variable x(tensor::Tensor::Randn(n / 64, 64, &rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tensor::ops::Dropout(x, 0.5f, /*training=*/true, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DropoutMask)->Arg(640000);
 
 data::Dataset BenchDataset(int64_t nodes) {
   data::GeneratorOptions o;

@@ -7,6 +7,7 @@
 #ifndef GRAPHRARE_COMMON_RNG_H_
 #define GRAPHRARE_COMMON_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -33,6 +34,15 @@ class Rng {
     }
     has_cached_normal_ = false;
   }
+
+  /// Jumps the stream ahead by k draws: afterwards the generator is in the
+  /// state k Next() calls would have left it in. Costs one GF(2)
+  /// matrix-vector product per set bit of k, against the powers
+  /// T^(2^j) of the 256x256 state transition T (each built once per
+  /// process, on first use). The Normal() cache is left as it is. This is
+  /// what lets a long stream of draws be split into chunks that start
+  /// anywhere in it and still reproduce the serial stream exactly.
+  void Advance(uint64_t k);
 
   /// Next raw 64-bit value.
   uint64_t Next() {
@@ -146,6 +156,13 @@ class Rng {
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  using State = std::array<uint64_t, 4>;
+  /// A 256x256 matrix over GF(2), column b holding the image of state
+  /// bit b (bit b % 64 of word b / 64).
+  using Gf2Matrix = std::array<State, 256>;
+  /// T^(2^j) for j in [0, 64).
+  static const Gf2Matrix& TransitionPower(int j);
 
   uint64_t state_[4];
   bool has_cached_normal_ = false;

@@ -71,25 +71,25 @@ GATConv::GATConv(int64_t in_features, int64_t out_per_head, int num_heads,
 
 Variable GATConv::Forward(const graph::Graph& g, const LayerInput& x,
                           bool training, Rng* rng) const {
-  // Grouped once per graph, shared by every head and layer.
-  const auto edges = g.AttentionEdges();
-
-  std::vector<Variable> head_outputs;
-  head_outputs.reserve(heads_.size());
+  // All heads in one pass: one product against the column-concatenated
+  // projections lays every head's features side by side, and the edge
+  // kernel writes the concatenated head outputs directly.
+  std::vector<Variable> weights;
+  std::vector<Variable> attn_src;
+  std::vector<Variable> attn_dst;
   for (const auto& head : heads_) {
-    Variable h = ApplyLinear(*head.proj, x);          // (n, out)
-    Variable sl = ops::MatMul(h, head.attn_src);      // (n, 1)
-    Variable sr = ops::MatMul(h, head.attn_dst);      // (n, 1)
-    // Fused edge kernel: leaky-relu scores, segment softmax over incoming
-    // edges, attention dropout, and the alpha-weighted neighbour sum in one
-    // op (bitwise the former gather/softmax/scale/scatter chain, without
-    // its (E, f) intermediates).
-    head_outputs.push_back(ops::GatSegmentAttention(
-        h, sl, sr, edges, negative_slope_, attention_dropout_, training,
-        rng));
+    weights.push_back(head.proj->weight());
+    attn_src.push_back(head.attn_src);
+    attn_dst.push_back(head.attn_dst);
   }
-  return head_outputs.size() == 1 ? head_outputs[0]
-                                  : ops::ConcatCols(head_outputs);
+  const Variable w =
+      weights.size() == 1 ? weights[0] : ops::ConcatCols(weights);
+  const Variable h =
+      x.is_sparse() ? ops::SpMM(x.sparse, w) : ops::MatMul(x.dense, w);
+  return ops::GatSegmentAttention(h, ops::GatScores(h, attn_src),
+                                  ops::GatScores(h, attn_dst),
+                                  g.AttentionEdges(), negative_slope_,
+                                  attention_dropout_, training, rng);
 }
 
 // -------------------------------------------------------------- MixHopConv

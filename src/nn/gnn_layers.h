@@ -64,7 +64,13 @@ class SAGEConv : public Module {
 };
 
 /// Multi-head GAT layer (Velickovic et al.) with additive attention over
-/// directed edges + self loops. Head outputs are concatenated.
+/// directed edges + self loops. Head outputs are concatenated. Forward
+/// records a fixed number of tape nodes whatever the head count (weight
+/// concat, projection, two GatScores, one GatSegmentAttention); its output,
+/// parameter gradients and RNG stream are bitwise those of H separate
+/// single-head layers joined by ConcatCols. One exception: the gradient of
+/// a dense input that requires one sums over all heads' columns in a single
+/// pass, so it may differ from the per-head sum in the last bits.
 class GATConv : public Module {
  public:
   GATConv(int64_t in_features, int64_t out_per_head, int num_heads, Rng* rng,

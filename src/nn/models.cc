@@ -112,23 +112,26 @@ Variable MlpModel::Logits(const ModelInputs& in, bool training,
   return h;
 }
 
-// -------------------------------------------------------------------- GCN
+// ------------------------------------------------------------ GCN / SAGE
 
-GcnModel::GcnModel(const ModelOptions& options) : dropout_(options.dropout) {
+template <typename Conv, BackboneKind kKind>
+ConvStackModel<Conv, kKind>::ConvStackModel(const ModelOptions& options)
+    : dropout_(options.dropout) {
   GR_CHECK_OK(options.Validate());
   Rng rng(options.seed);
   int64_t in = options.in_features;
   for (int l = 0; l < options.num_layers; ++l) {
     const int64_t out =
         l == options.num_layers - 1 ? options.num_classes : options.hidden;
-    convs_.push_back(std::make_unique<GCNConv>(in, out, &rng));
+    convs_.push_back(std::make_unique<Conv>(in, out, &rng));
     RegisterChild("conv" + std::to_string(l), convs_.back().get());
     in = out;
   }
 }
 
-Variable GcnModel::Logits(const ModelInputs& in, bool training,
-                          Rng* rng) const {
+template <typename Conv, BackboneKind kKind>
+Variable ConvStackModel<Conv, kKind>::Logits(const ModelInputs& in,
+                                             bool training, Rng* rng) const {
   GR_CHECK(in.graph != nullptr);
   LayerInput x = in.features;
   Variable h;
@@ -142,35 +145,8 @@ Variable GcnModel::Logits(const ModelInputs& in, bool training,
   return h;
 }
 
-// ------------------------------------------------------------------- SAGE
-
-SageModel::SageModel(const ModelOptions& options) : dropout_(options.dropout) {
-  GR_CHECK_OK(options.Validate());
-  Rng rng(options.seed);
-  int64_t in = options.in_features;
-  for (int l = 0; l < options.num_layers; ++l) {
-    const int64_t out =
-        l == options.num_layers - 1 ? options.num_classes : options.hidden;
-    convs_.push_back(std::make_unique<SAGEConv>(in, out, &rng));
-    RegisterChild("conv" + std::to_string(l), convs_.back().get());
-    in = out;
-  }
-}
-
-Variable SageModel::Logits(const ModelInputs& in, bool training,
-                           Rng* rng) const {
-  GR_CHECK(in.graph != nullptr);
-  LayerInput x = in.features;
-  Variable h;
-  for (size_t l = 0; l < convs_.size(); ++l) {
-    h = convs_[l]->Forward(*in.graph, x);
-    if (l + 1 < convs_.size()) {
-      h = MaybeDropout(ops::Relu(h), dropout_, training, rng);
-      x = LayerInput::Dense(h);
-    }
-  }
-  return h;
-}
+template class ConvStackModel<GCNConv, BackboneKind::kGcn>;
+template class ConvStackModel<SAGEConv, BackboneKind::kSage>;
 
 // -------------------------------------------------------------------- GAT
 

@@ -85,29 +85,23 @@ class MlpModel : public NodeClassifier {
   float dropout_;
 };
 
-class GcnModel : public NodeClassifier {
+/// GCN and GraphSAGE: num_layers convs of one type (child "conv{l}"), with
+/// ReLU and dropout between them.
+template <typename Conv, BackboneKind kKind>
+class ConvStackModel : public NodeClassifier {
  public:
-  explicit GcnModel(const ModelOptions& options);
+  explicit ConvStackModel(const ModelOptions& options);
   tensor::Variable Logits(const ModelInputs& in, bool training,
                           Rng* rng) const override;
-  BackboneKind kind() const override { return BackboneKind::kGcn; }
+  BackboneKind kind() const override { return kKind; }
 
  private:
-  std::vector<std::unique_ptr<GCNConv>> convs_;
+  std::vector<std::unique_ptr<Conv>> convs_;
   float dropout_;
 };
 
-class SageModel : public NodeClassifier {
- public:
-  explicit SageModel(const ModelOptions& options);
-  tensor::Variable Logits(const ModelInputs& in, bool training,
-                          Rng* rng) const override;
-  BackboneKind kind() const override { return BackboneKind::kSage; }
-
- private:
-  std::vector<std::unique_ptr<SAGEConv>> convs_;
-  float dropout_;
-};
+using GcnModel = ConvStackModel<GCNConv, BackboneKind::kGcn>;
+using SageModel = ConvStackModel<SAGEConv, BackboneKind::kSage>;
 
 class GatModel : public NodeClassifier {
  public:

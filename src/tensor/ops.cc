@@ -71,10 +71,14 @@ Variable AddBias(const Variable& a, const Variable& bias) {
   GR_CHECK_EQ(bias.value().cols(), a.value().cols());
   Tensor out = a.value();
   const float* pb = bias.value().data();
-  for (int64_t r = 0; r < out.rows(); ++r) {
-    float* pr = out.row(r);
-    for (int64_t c = 0; c < out.cols(); ++c) pr[c] += pb[c];
-  }
+  const int64_t cols = out.cols();
+  float* po = out.data();
+  ParallelFor(out.rows(), 256, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      float* pr = po + r * cols;
+      for (int64_t c = 0; c < cols; ++c) pr[c] += pb[c];
+    }
+  });
   return MakeOpNode(std::move(out), {a, bias}, [](AutogradNode* n) {
     Accumulate(n->parents[0], n->grad);
     if (n->parents[1]->requires_grad) {
@@ -229,16 +233,33 @@ Variable UnaryElementwise(const Variable& a, FwdFn fwd, GradFn dydx) {
   });
 }
 
-/// Inverted-dropout mask: one Bernoulli(p) draw per element, serially in
-/// order; 0 where the draw fires, 1 / (1 - p) elsewhere. Branch-free — the
+/// Inverted-dropout mask: element i is the i-th Bernoulli(p) draw of rng's
+/// stream; 0 where the draw fires, 1 / (1 - p) elsewhere. Branch-free — the
 /// draw's outcome scales the keep value (0 * keep is +0, 1 * keep is keep)
 /// instead of selecting it, since a fair coin defeats branch prediction.
+/// Masks longer than one chunk are drawn in fixed kDropoutMaskChunk chunks
+/// in parallel (shorter ones serially: a thread team costs more than the
+/// draws), each from a copy of rng jumped ahead to the chunk's first draw,
+/// and rng is then jumped past all n draws: the mask and rng's final state
+/// are bitwise the serial loop's at any thread count.
 void DrawDropoutMask(float p, Rng* rng, float* pm, int64_t n) {
   GR_CHECK(rng != nullptr);
   const float keep = 1.0f / (1.0f - p);
-  for (int64_t i = 0; i < n; ++i) {
-    pm[i] = static_cast<float>(!rng->Bernoulli(p)) * keep;
+  const auto draw = [&](Rng* r, int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      pm[i] = static_cast<float>(!r->Bernoulli(p)) * keep;
+    }
+  };
+  if (n <= kDropoutMaskChunk) {
+    draw(rng, 0, n);
+    return;
   }
+  ParallelFor(n, kDropoutMaskChunk, [&](int64_t i0, int64_t i1) {
+    Rng chunk = *rng;
+    chunk.Advance(static_cast<uint64_t>(i0));
+    draw(&chunk, i0, i1);
+  });
+  rng->Advance(static_cast<uint64_t>(n));
 }
 
 }  // namespace
@@ -737,12 +758,130 @@ Variable SegmentSoftmax(const Variable& scores, std::vector<int64_t> seg,
 
 namespace {
 
-// Chunk sizes of the GAT kernel's parallel loops. Node loops use dynamic
-// scheduling: in-degrees are skewed, so equal node counts are not equal work.
-constexpr int64_t kGatNodeGrain = 256;
-constexpr int64_t kGatEdgeGrain = 4096;
+/// Runs body(k, begin, end) over every (head k, node v) pair, v in [0, n),
+/// as node ranges of one head at a time: the pairs are flattened
+/// head-major (index k * n + v) into dynamically scheduled chunks —
+/// in-degrees are skewed, so equal node counts are not equal work — split
+/// at head boundaries. Head-major order keeps a thread on one head's
+/// columns at a time, which the cache prefers to walking every head of a
+/// node at once.
+template <typename Body>
+void ForEachHead(int64_t heads, int64_t n, Body&& body) {
+  constexpr int64_t kGrain = 256;
+  ParallelForDynamic(heads * n, kGrain, [&](int64_t j0, int64_t j1) {
+    while (j0 < j1) {
+      const int64_t k = j0 / n;
+      const int64_t end = std::min(j1, (k + 1) * n);
+      body(k, j0 - k * n, end - k * n);
+      j0 = end;
+    }
+  });
+}
+
+/// x > 0 ? x : slope * x with both candidates computed and one picked by
+/// index: same bits as the ternary, but no data-dependent branch — an
+/// attention score's sign is a coin flip, so a branch mispredicts about
+/// half the time.
+inline float LeakyReluSelect(float x, float slope) {
+  const float picks[2] = {slope * x, x};
+  return picks[x > 0.0f];
+}
 
 }  // namespace
+
+Variable GatScores(const Variable& h, const std::vector<Variable>& a) {
+  GR_CHECK(!a.empty());
+  const Tensor& hv = h.value();
+  const int64_t heads = static_cast<int64_t>(a.size());
+  const int64_t rows = hv.rows();
+  const int64_t width = hv.cols();
+  GR_CHECK_EQ(width % heads, 0) << "h width must split evenly into heads";
+  const int64_t f = width / heads;
+  for (const auto& ak : a) {
+    GR_CHECK_EQ(ak.value().rows(), f);
+    GR_CHECK_EQ(ak.value().cols(), 1);
+  }
+  const int64_t row_grain =
+      std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, width));
+  // Each score is the ascending-c float dot MatMul's kernels accumulate.
+  Tensor out = Tensor::Uninitialized(rows, heads);
+  const float* ph = hv.data();
+  float* po = out.data();
+  ParallelFor(rows, row_grain, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      for (int64_t k = 0; k < heads; ++k) {
+        const float* hr = ph + r * width + k * f;
+        const float* ak = a[static_cast<size_t>(k)].value().data();
+        float acc = 0.0f;
+        for (int64_t c = 0; c < f; ++c) acc += hr[c] * ak[c];
+        po[r * heads + k] = acc;
+      }
+    }
+  });
+  std::vector<Variable> parents{h};
+  parents.insert(parents.end(), a.begin(), a.end());
+  return MakeOpNode(
+      std::move(out), std::move(parents),
+      [heads, f, row_grain](AutogradNode* n) {
+        const Tensor& hv = n->parents[0]->value;
+        const int64_t rows = hv.rows();
+        const int64_t width = hv.cols();
+        const float* pg = n->grad.data();
+        const auto attn = [&](int64_t k) {
+          return n->parents[static_cast<size_t>(k) + 1].get();
+        };
+        // MatMul's d_h = g * a^T: one rounded product per element, added
+        // into h's gradient.
+        if (n->parents[0]->requires_grad) {
+          float* phg = n->parents[0]->EnsureGrad()->data();
+          ParallelFor(rows, row_grain, [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) {
+              for (int64_t k = 0; k < heads; ++k) {
+                const float g = pg[r * heads + k];
+                const float* ak = attn(k)->value.data();
+                float* d = phg + r * width + k * f;
+                for (int64_t c = 0; c < f; ++c) d[c] += g * ak[c];
+              }
+            }
+          });
+        }
+        bool need_a = false;
+        for (int64_t k = 0; k < heads; ++k) {
+          need_a = need_a || attn(k)->requires_grad;
+        }
+        if (!need_a) return;
+        // MatMul's d_a = h^T g under MatMulTransA's contract: fixed
+        // kTransAKBlock-row blocks, each summed in ascending row order,
+        // combined in ascending block order — all heads in one sweep.
+        const float* ph = hv.data();
+        const Tensor da = ParallelReduce<Tensor>(
+            rows, kTransAKBlock, Tensor(1, width),
+            [&](int64_t r0, int64_t r1) {
+              Tensor partial(1, width);
+              float* pp = partial.data();
+              for (int64_t r = r0; r < r1; ++r) {
+                const float* hr = ph + r * width;
+                for (int64_t k = 0; k < heads; ++k) {
+                  const float g = pg[r * heads + k];
+                  for (int64_t c = k * f; c < (k + 1) * f; ++c) {
+                    pp[c] += hr[c] * g;
+                  }
+                }
+              }
+              return partial;
+            },
+            [](Tensor acc, Tensor partial) {
+              acc.AddInPlace(partial);
+              return acc;
+            });
+        for (int64_t k = 0; k < heads; ++k) {
+          if (!attn(k)->requires_grad) continue;
+          float* pag = attn(k)->EnsureGrad()->data();
+          const float* pd = da.data() + k * f;
+          for (int64_t c = 0; c < f; ++c) pag[c] += pd[c];
+        }
+      });
+}
 
 Variable GatSegmentAttention(const Variable& h, const Variable& sl,
                              const Variable& sr, std::vector<int64_t> src,
@@ -763,80 +902,75 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
                              bool training, Rng* rng) {
   GR_CHECK(edges != nullptr);
   const Tensor& hv = h.value();
+  const int64_t heads = sl.value().cols();
+  GR_CHECK_GT(heads, 0);
   GR_CHECK_EQ(hv.rows(), edges->num_src);
-  GR_CHECK_EQ(sl.value().cols(), 1);
-  GR_CHECK_EQ(sr.value().cols(), 1);
+  GR_CHECK_EQ(sr.value().cols(), heads);
   GR_CHECK_EQ(sl.value().rows(), hv.rows());
   GR_CHECK_EQ(sr.value().rows(), hv.rows());
+  GR_CHECK_EQ(hv.cols() % heads, 0) << "h width must split evenly into heads";
   GR_CHECK(dropout_p >= 0.0f && dropout_p < 1.0f)
       << "dropout p must be in [0,1), got " << dropout_p;
   const int64_t e = static_cast<int64_t>(edges->src.size());
   const int64_t num_nodes = edges->num_dst;
-  const int64_t f = hv.cols();
+  const int64_t width = hv.cols();
+  const int64_t f = width / heads;
   const int64_t* src = edges->src.data();
-  const int64_t* dst = edges->dst.data();
   const int64_t* dst_off = edges->dst_offsets.data();
   const int64_t* by_dst = edges->by_dst.data();
   const float* psl = sl.value().data();
   const float* psr = sr.value().data();
 
-  // Attention scores + segment softmax, numerically step-for-step the
-  // LeakyRelu(sl[src] + sr[dst]) -> SegmentSoftmax chain: per-edge scores,
-  // then per destination node a float max, float exp(score - max), double
-  // sum in ascending edge order, and float(w / sum) weights — computed in
-  // place in alpha, each edge owned by its destination's task.
-  Tensor alpha = Tensor::Uninitialized(e, 1);
-  float* pa = alpha.data();
-  ParallelFor(e, kGatEdgeGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float pre = psl[src[i]] + psr[dst[i]];
-      pa[i] = pre > 0.0f ? pre : negative_slope * pre;
-    }
-  });
-  ParallelForDynamic(num_nodes, kGatNodeGrain, [&](int64_t v0, int64_t v1) {
-    for (int64_t v = v0; v < v1; ++v) {
-      const int64_t* first = by_dst + dst_off[v];
-      const int64_t* last = by_dst + dst_off[v + 1];
-      float mx = -std::numeric_limits<float>::infinity();
-      for (const int64_t* it = first; it != last; ++it) {
-        mx = std::max(mx, pa[*it]);
-      }
-      double sum = 0.0;
-      for (const int64_t* it = first; it != last; ++it) {
-        pa[*it] = std::exp(pa[*it] - mx);
-        sum += pa[*it];
-      }
-      for (const int64_t* it = first; it != last; ++it) {
-        pa[*it] = static_cast<float>(pa[*it] / sum);
-      }
-    }
-  });
-
-  // Attention dropout: one Bernoulli per edge in edge order — the same
-  // draws ops::Dropout would make on the (e, 1) alpha tensor, so the RNG
-  // stream downstream of this op is unchanged by the fusion.
+  // Attention dropout: one Bernoulli per edge and head, head-major — the
+  // draws ops::Dropout would make on each head's (e, 1) alpha tensor in
+  // head order, so the RNG stream downstream of this op is unchanged by the
+  // fusion. The mask has alpha's (H, e) layout. Drawing it before the
+  // weights are computed keeps the stream: nothing in between draws.
   const bool use_dropout = training && dropout_p > 0.0f;
   Tensor mask;
   if (use_dropout) {
-    mask = Tensor::Uninitialized(e, 1);
-    DrawDropoutMask(dropout_p, rng, mask.data(), e);
+    mask = Tensor::Uninitialized(heads, e);
+    DrawDropoutMask(dropout_p, rng, mask.data(), heads * e);
   }
   const float* pm = use_dropout ? mask.data() : nullptr;
 
-  // Each output row starts at zero and sums its incoming messages in
-  // ascending edge order, exactly like ScatterAddRows; rows are
-  // independent, so nodes run in parallel.
-  Tensor out = Tensor::Uninitialized(num_nodes, f);
+  // One pass per (head, destination node), numerically step-for-step that
+  // head's LeakyRelu(sl[src] + sr[dst]) -> SegmentSoftmax -> (Dropout) ->
+  // RowScale -> ScatterAddRows chain: the node's edge scores and their
+  // float max, float exp(score - max) with a double sum in ascending edge
+  // order, float(w / sum) weights — kept in alpha (H, e), row k holding
+  // head k's, each edge owned by its destination's task — and then the
+  // output row slice [k*f, (k+1)*f), from zero, summing the incoming
+  // messages in ascending edge order.
+  Tensor alpha = Tensor::Uninitialized(heads, e);
+  Tensor out = Tensor::Uninitialized(num_nodes, width);
+  float* pa = alpha.data();
   float* po = out.data();
   const float* ph = hv.data();
-  ParallelForDynamic(num_nodes, kGatNodeGrain, [&](int64_t v0, int64_t v1) {
+  ForEachHead(heads, num_nodes, [&](int64_t k, int64_t v0, int64_t v1) {
+    float* ak = pa + k * e;
+    const float* mk = pm != nullptr ? pm + k * e : nullptr;
     for (int64_t v = v0; v < v1; ++v) {
-      float* orow = po + v * f;
+      const int64_t* first = by_dst + dst_off[v];
+      const int64_t* last = by_dst + dst_off[v + 1];
+      const float srv = psr[v * heads + k];
+      float mx = -std::numeric_limits<float>::infinity();
+      for (const int64_t* it = first; it != last; ++it) {
+        ak[*it] = LeakyReluSelect(psl[src[*it] * heads + k] + srv,
+                                  negative_slope);
+        mx = std::max(mx, ak[*it]);
+      }
+      double sum = 0.0;
+      for (const int64_t* it = first; it != last; ++it) {
+        ak[*it] = std::exp(ak[*it] - mx);
+        sum += ak[*it];
+      }
+      float* orow = po + v * width + k * f;
       std::fill(orow, orow + f, 0.0f);
-      for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
-        const int64_t i = by_dst[k];
-        const float a = pm != nullptr ? pa[i] * pm[i] : pa[i];
-        const float* hr = ph + src[i] * f;
+      for (const int64_t* it = first; it != last; ++it) {
+        ak[*it] = static_cast<float>(ak[*it] / sum);
+        const float a = mk != nullptr ? ak[*it] * mk[*it] : ak[*it];
+        const float* hr = ph + src[*it] * width + k * f;
         for (int64_t c = 0; c < f; ++c) orow[c] += a * hr[c];
       }
     }
@@ -846,9 +980,11 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
       std::move(out), {h, sl, sr},
       [edges = std::move(edges), alpha = std::move(alpha),
        mask = std::move(mask), negative_slope](AutogradNode* n) {
-        const int64_t e = alpha.rows();
+        const int64_t heads = alpha.rows();
+        const int64_t e = alpha.cols();
         const int64_t num_nodes = edges->num_dst;
-        const int64_t f = n->parents[0]->value.cols();
+        const int64_t width = n->parents[0]->value.cols();
+        const int64_t f = width / heads;
         const int64_t* src = edges->src.data();
         const int64_t* dst = edges->dst.data();
         const int64_t* dst_off = edges->dst_offsets.data();
@@ -864,88 +1000,83 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
         const bool need_sl = n->parents[1]->requires_grad;
         const bool need_sr = n->parents[2]->requires_grad;
 
-        // ScatterAdd + RowScale + Gather backward. h's gradient row u
-        // receives its out-edges' contributions in the ascending edge order
-        // the chain's gather-scatter used; rows are independent.
+        // ScatterAdd + RowScale + Gather backward. h's gradient row slice
+        // (u, head k) receives its out-edges' contributions in the
+        // ascending edge order the chain's gather-scatter used; slices are
+        // independent.
         if (n->parents[0]->requires_grad) {
           float* phg = n->parents[0]->EnsureGrad()->data();
-          ParallelForDynamic(
-              edges->num_src, kGatNodeGrain, [&](int64_t u0, int64_t u1) {
-                for (int64_t u = u0; u < u1; ++u) {
-                  float* hgr = phg + u * f;
-                  for (int64_t k = src_off[u]; k < src_off[u + 1]; ++k) {
-                    const int64_t i = by_src[k];
-                    const float ad = pm != nullptr ? pa[i] * pm[i] : pa[i];
-                    const float* g = pg + dst[i] * f;
-                    for (int64_t c = 0; c < f; ++c) hgr[c] += g[c] * ad;
-                  }
-                }
-              });
+          ForEachHead(heads, edges->num_src,
+                      [&](int64_t k, int64_t u0, int64_t u1) {
+            const float* ak = pa + k * e;
+            const float* mk = pm != nullptr ? pm + k * e : nullptr;
+            for (int64_t u = u0; u < u1; ++u) {
+              float* hgr = phg + u * width + k * f;
+              for (int64_t p = src_off[u]; p < src_off[u + 1]; ++p) {
+                const int64_t i = by_src[p];
+                const float ad = mk != nullptr ? ak[i] * mk[i] : ak[i];
+                const float* g = pg + dst[i] * width + k * f;
+                for (int64_t c = 0; c < f; ++c) hgr[c] += g[c] * ad;
+              }
+            }
+          });
         }
         if (!need_sl && !need_sr) return;
 
-        // d_alpha_i is the float ascending-c dot the RowScale backward
-        // computes; dropout's backward folds in as d(alpha) = dot * m.
-        Tensor d_alpha = Tensor::Uninitialized(e, 1);
-        float* pda = d_alpha.data();
-        ParallelFor(e, kGatEdgeGrain, [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            const float* g = pg + dst[i] * f;
-            const float* hr = ph + src[i] * f;
-            float dot = 0.0f;
-            for (int64_t c = 0; c < f; ++c) dot += g[c] * hr[c];
-            pda[i] = pm != nullptr ? dot * pm[i] : dot;
-          }
-        });
-
-        // SegmentSoftmax backward: per destination node, the double dot
-        // over its edges in ascending order, then each edge's d_e through
-        // the leaky-relu mask (overwriting d_alpha with d_pre). The
+        // Per (head, destination node): d_alpha for each incoming edge —
+        // the float ascending-c dot the RowScale backward computes, times
+        // the mask as dropout's backward does — then the SegmentSoftmax
+        // backward's double dot over the edges in ascending order, and each
+        // edge's d_e through the leaky-relu slope (overwriting d_alpha with
+        // d_pre), added into sr's gradient in ascending edge order. The
         // pre-activation is recomputed from the saved parents (a float add
         // — bit-identical to the forward's), so only alpha and the mask
-        // were kept on the tape.
-        ParallelForDynamic(num_nodes, kGatNodeGrain, [&](int64_t v0,
-                                                         int64_t v1) {
+        // were kept on the tape. The slope is picked by index, not branch,
+        // as in LeakyReluSelect.
+        Tensor d_pre = Tensor::Uninitialized(heads, e);
+        float* pdp = d_pre.data();
+        float* srg = need_sr ? n->parents[2]->EnsureGrad()->data() : nullptr;
+        const float slopes[2] = {negative_slope, 1.0f};
+        ForEachHead(heads, num_nodes, [&](int64_t k, int64_t v0, int64_t v1) {
+          const float* ak = pa + k * e;
+          const float* mk = pm != nullptr ? pm + k * e : nullptr;
+          float* dk = pdp + k * e;
           for (int64_t v = v0; v < v1; ++v) {
+            const float* g = pg + v * width + k * f;
             double seg_dot = 0.0;
-            for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
-              const int64_t i = by_dst[k];
-              seg_dot += static_cast<double>(pa[i]) * pda[i];
+            for (int64_t p = dst_off[v]; p < dst_off[v + 1]; ++p) {
+              const int64_t i = by_dst[p];
+              const float* hr = ph + src[i] * width + k * f;
+              float dot = 0.0f;
+              for (int64_t c = 0; c < f; ++c) dot += g[c] * hr[c];
+              dk[i] = mk != nullptr ? dot * mk[i] : dot;
+              seg_dot += static_cast<double>(ak[i]) * dk[i];
             }
-            for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
-              const int64_t i = by_dst[k];
-              const float de = static_cast<float>(pa[i] * (pda[i] - seg_dot));
-              const float pre = psl[src[i]] + psr[v];
-              pda[i] = de * (pre > 0.0f ? 1.0f : negative_slope);
+            for (int64_t p = dst_off[v]; p < dst_off[v + 1]; ++p) {
+              const int64_t i = by_dst[p];
+              const float de = static_cast<float>(ak[i] * (dk[i] - seg_dot));
+              const float pre = psl[src[i] * heads + k] + psr[v * heads + k];
+              dk[i] = de * slopes[pre > 0.0f];
+              if (srg != nullptr) srg[v * heads + k] += dk[i];
             }
           }
         });
 
-        // Scatter d_pre into sr (by destination), then sl (by source), each
-        // gradient entry summing its edges in ascending order. When sl and
-        // sr are one node this is the chain's order too: its sr-side
-        // GatherRows backward runs before the sl-side one.
-        if (need_sr) {
-          float* srg = n->parents[2]->EnsureGrad()->data();
-          ParallelForDynamic(
-              num_nodes, kGatNodeGrain, [&](int64_t v0, int64_t v1) {
-                for (int64_t v = v0; v < v1; ++v) {
-                  for (int64_t k = dst_off[v]; k < dst_off[v + 1]; ++k) {
-                    srg[v] += pda[by_dst[k]];
-                  }
-                }
-              });
-        }
+        // Scatter d_pre into sl by source, each gradient entry summing its
+        // edges in ascending order. When sl and sr are one node this is the
+        // chain's order too: its sr-side GatherRows backward (above) runs
+        // before the sl-side one.
         if (need_sl) {
           float* slg = n->parents[1]->EnsureGrad()->data();
-          ParallelForDynamic(
-              edges->num_src, kGatNodeGrain, [&](int64_t u0, int64_t u1) {
-                for (int64_t u = u0; u < u1; ++u) {
-                  for (int64_t k = src_off[u]; k < src_off[u + 1]; ++k) {
-                    slg[u] += pda[by_src[k]];
-                  }
-                }
-              });
+          ForEachHead(heads, edges->num_src,
+                      [&](int64_t k, int64_t u0, int64_t u1) {
+            const float* dk = pdp + k * e;
+            for (int64_t u = u0; u < u1; ++u) {
+              for (int64_t p = src_off[u]; p < src_off[u + 1]; ++p) {
+                slg[u * heads + k] += dk[by_src[p]];
+              }
+            }
+          });
         }
       });
 }

@@ -63,9 +63,16 @@ Variable Exp(const Variable& a);
 /// Natural log; inputs must be positive.
 Variable Log(const Variable& a);
 
-/// Inverted dropout. Identity when !training or p == 0. The mask draws one
-/// Bernoulli(p) per element serially in flat order (the RNG stream is part
-/// of the contract); applying it runs in parallel.
+/// Draws per parallel chunk of a dropout mask (part of the mask-drawing
+/// schedule, not of its values; tests use it to probe chunk boundaries).
+inline constexpr int64_t kDropoutMaskChunk = int64_t{1} << 14;
+
+/// Inverted dropout. Identity when !training or p == 0. The mask is the
+/// next numel() Bernoulli(p) draws of rng's stream in flat order (the
+/// stream is part of the contract). Long masks are drawn in parallel
+/// chunks from copies of rng jumped ahead with Rng::Advance, with the bits
+/// and final rng state of the serial loop; applying the mask runs in
+/// parallel too.
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng);
 
 // -- Softmax family -------------------------------------------------------
@@ -124,26 +131,42 @@ Variable ScaleByScalar(const Variable& x, const Variable& s);
 Variable SegmentSoftmax(const Variable& scores, std::vector<int64_t> seg,
                         int64_t num_segments);
 
-/// Fused GAT attention edge kernel. Computes, for per-node features h
-/// (n, f) and per-node attention scores sl / sr (n, 1):
+/// Per-head GAT attention scores. h (n, H*f) holds H heads of width f side
+/// by side and a[k] (f, 1) is head k's attention vector; the result is the
+/// (n, H) matrix
 ///
-///   e_i     = leaky_relu(sl[src[i]] + sr[dst[i]], negative_slope)
-///   alpha_i = segment_softmax(e, dst)_i          (optionally dropped out)
-///   out[v]  = sum_{i : dst[i] == v} alpha_i * h[src[i], :]
+///   s[i, k] = sum_c h[i, k*f + c] * a[k][c]      (ascending c)
 ///
-/// replacing the GatherRows -> Add -> LeakyRelu -> SegmentSoftmax ->
+/// bitwise the per-head MatMul(h_k, a[k]) values. The backward is bitwise
+/// MatMul's too: h's gradient gets g[i, k] * a[k][c] added per element, and
+/// a[k]'s gradient reduces over fixed kTransAKBlock-row blocks of h, summed
+/// in ascending block order, as MatMulTransA does.
+Variable GatScores(const Variable& h, const std::vector<Variable>& a);
+
+/// Fused multi-head GAT attention edge kernel. For per-node features h
+/// (n, H*f), H heads of width f side by side, and per-node attention scores
+/// sl / sr (n, H), H = sl.cols(), it computes for every head k:
+///
+///   e_ik     = leaky_relu(sl[src[i], k] + sr[dst[i], k], negative_slope)
+///   alpha_ik = segment_softmax(e_:k, dst)_i      (optionally dropped out)
+///   out[v, k*f:(k+1)*f] = sum_{i : dst[i] == v} alpha_ik * h[src[i], k*f:]
+///
+/// into one (n, H*f) output: the concatenation of the heads, each of which
+/// replaces a GatherRows -> Add -> LeakyRelu -> SegmentSoftmax ->
 /// (Dropout) -> GatherRows -> RowScale -> ScatterAddRows chain. Forward and
-/// backward are bitwise identical to that chain at any thread count:
-/// per-edge arithmetic uses the same expressions and runs in parallel over
-/// edges; every segment reduction and scatter accumulation (segment max and
-/// double sum, output rows, the h / sl / sr gradient rows, the double
-/// softmax-backward dots) runs in parallel over nodes, each node walking its
-/// own edges in the same ascending-edge order the chain used. Dropout
-/// (applied when `training` and dropout_p > 0) draws exactly one
-/// Bernoulli(dropout_p) per edge, serially in edge order, so the RNG stream
-/// matches ops::Dropout on the (e, 1) alpha tensor. Only the (e, 1)
-/// attention weights and dropout mask are saved for backward — none of the
-/// chain's (e, f) edge-message intermediates are materialised or taped.
+/// backward are bitwise identical to the per-head chains (and their
+/// ConcatCols) at any thread count: per-edge arithmetic uses the same
+/// expressions, and every segment reduction and scatter accumulation
+/// (segment max and double sum, output rows, the h / sl / sr gradient
+/// rows, the double softmax-backward dots) runs in parallel over (head,
+/// node) pairs, each walking the node's edges in the same ascending-edge
+/// order the chain used. For H = 1 this is the single-head kernel exactly. Dropout (applied when `training` and
+/// dropout_p > 0) draws one Bernoulli(dropout_p) per edge and head,
+/// head-major (all of head 0's edges in edge order, then head 1's, ...), so
+/// the RNG stream matches ops::Dropout on each head's (e, 1) alpha tensor in
+/// head order. Only the (H, e) attention weights and dropout mask are saved
+/// for backward — none of the chain's (e, f) edge-message intermediates are
+/// materialised or taped.
 /// h must have edges->num_src rows; the output has edges->num_dst rows.
 Variable GatSegmentAttention(const Variable& h, const Variable& sl,
                              const Variable& sr,

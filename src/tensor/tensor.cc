@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
-#include <sstream>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -375,19 +374,6 @@ int64_t Tensor::ArgMaxRow(int64_t r) const {
     if (p[c] > p[best]) best = c;
   }
   return best;
-}
-
-std::string Tensor::DebugString(int64_t max_elems) const {
-  std::ostringstream os;
-  os << "Tensor(" << rows_ << "x" << cols_ << ") [";
-  const int64_t n = std::min(numel(), max_elems);
-  for (int64_t i = 0; i < n; ++i) {
-    if (i) os << ", ";
-    os << (*this)[i];
-  }
-  if (numel() > max_elems) os << ", ...";
-  os << "]";
-  return os.str();
 }
 
 // ===================================================================

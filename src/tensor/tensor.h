@@ -8,7 +8,6 @@
 #define GRAPHRARE_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -235,8 +234,6 @@ class Tensor {
   bool HasNonFinite() const;
   /// Index of the max element in row r (argmax over columns).
   int64_t ArgMaxRow(int64_t r) const;
-
-  std::string DebugString(int64_t max_elems = 32) const;
 
  private:
   /// Kahan-compensated double sum (shared by Sum / Mean).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "common/logging.h"
 #include "common/result.h"
@@ -36,6 +37,12 @@ TEST(StatusTest, AllCodesHaveNames) {
         StatusCode::kUnimplemented, StatusCode::kInternal}) {
     EXPECT_STRNE(StatusCodeToString(code), "Unknown");
   }
+}
+
+TEST(StatusTest, StreamsItsString) {
+  std::ostringstream os;
+  os << Status::NotFound("no such node") << " | " << Status::OK();
+  EXPECT_EQ(os.str(), "NotFound: no such node | OK");
 }
 
 TEST(StatusTest, Equality) {
@@ -179,6 +186,33 @@ TEST(RngTest, ForkIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += a.Next() == child.Next() ? 1 : 0;
   EXPECT_LT(same, 2);
+}
+
+TEST(RngTest, AdvanceEqualsRepeatedNext) {
+  // Around the word size, around one dropout-mask chunk (2^14 draws), and a
+  // jump that needs many powers of the transition.
+  for (const uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{63},
+                           uint64_t{64}, uint64_t{16383}, uint64_t{16384},
+                           uint64_t{16385}, uint64_t{1000007}}) {
+    Rng stepped(29), jumped(29);
+    for (uint64_t i = 0; i < k; ++i) stepped.Next();
+    jumped.Advance(k);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(jumped.Next(), stepped.Next()) << "k=" << k << " draw " << i;
+    }
+  }
+}
+
+TEST(RngTest, AdvanceLeavesNormalCacheUntouched) {
+  // Normal() draws a Box-Muller pair and caches its second value; a jump
+  // moves the raw stream only, so the cached value still comes out next.
+  Rng stepped(31), jumped(31);
+  stepped.Normal();
+  jumped.Normal();
+  for (int i = 0; i < 100; ++i) stepped.Next();
+  jumped.Advance(100);
+  EXPECT_EQ(jumped.Normal(), stepped.Normal());
+  EXPECT_EQ(jumped.Next(), stepped.Next());
 }
 
 TEST(LoggingTest, LevelGate) {

@@ -297,6 +297,8 @@ TEST(SimpGcnStarTest, MixingWeightLearnable) {
   mo.seed = 9;
   SimpGcnStarModel model(mo, knn.NormalizedAdjacency());
   EXPECT_NEAR(model.MixingWeight(), 0.5f, 1e-6);
+  // Custom baselines have no enum of their own: it reports the GCN family.
+  EXPECT_EQ(model.kind(), nn::BackboneKind::kGcn);
 
   // One training step must move theta.
   data::SplitOptions so;

@@ -15,20 +15,28 @@
 //     same-size buffers of any size included.
 //   * The parallel elementwise ops (Relu, Elu, Dropout) and the
 //     segment-parallel GAT kernel keep their serial bits on inputs large
-//     enough to split into many chunks.
+//     enough to split into many chunks; dropout masks drawn in jumped-ahead
+//     chunks equal the serial draw around every chunk boundary.
+//   * GatScores is bitwise the per-head MatMuls, and the fused multi-head
+//     GATConv is bitwise its per-head composition (gat_reference.h):
+//     output, every parameter gradient and the dropout stream.
 //
 // "Exact" comparisons use float equality (== treats +0 and -0 as equal,
 // which is the one place the zero-skip in the naive path may differ).
 
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "gat_reference.h"
+#include "nn/gnn_layers.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -797,6 +805,228 @@ TEST(ElementwiseOps, EluMatchesScalarFormula) {
   }
   ExpectSameBits(y.value(), want, "Elu forward");
   ExpectSameBits(xv.grad(), want_dx, "Elu backward");
+}
+
+// ------------------------------------------- parallel dropout-mask draws
+
+/// Thread counts a test sweeps: 1, 2 and 4 under OpenMP, else just the
+/// serial build's one.
+std::vector<int> SweptThreadCounts() {
+#ifdef _OPENMP
+  return {1, 2, 4};
+#else
+  return {1};
+#endif
+}
+
+void SetThreads(int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
+}
+
+TEST(ElementwiseOps, DropoutMaskMatchesSerialAcrossChunkBoundaries) {
+  const int64_t g = ops::kDropoutMaskChunk;
+  const float p = 0.3f;
+  const int restore = SweptThreadCounts().back();
+  for (const int64_t n : {g - 1, g, g + 1, 2 * g, 2 * g + 1, 3 * g + 7}) {
+    Rng ref_rng(211);
+    Tensor want(1, n);
+    for (int64_t i = 0; i < n; ++i) {
+      want[i] = ref_rng.Bernoulli(p) ? 0.0f : 1.0f / (1.0f - p);
+    }
+    const uint64_t want_next = ref_rng.Next();
+    for (const int threads : SweptThreadCounts()) {
+      SetThreads(threads);
+      Rng rng(211);
+      // Dropout of all-ones is the mask itself.
+      const Variable y = ops::Dropout(Variable(Tensor::Ones(1, n)), p,
+                                      /*training=*/true, &rng);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      ExpectSameBits(y.value(), want, "dropout mask");
+      EXPECT_EQ(rng.Next(), want_next) << "RNG state after the mask";
+    }
+  }
+  SetThreads(restore);
+}
+
+// ------------------------------------------------------ multi-head GAT
+
+TEST(GatScores, MatchesPerHeadMatMulBitwise) {
+  // More rows than one kTransAKBlock, so the attention-vector gradient
+  // crosses reduction blocks.
+  const int64_t n = 2 * kTransAKBlock + 77, heads = 3, f = 5;
+  const Tensor h_val = TestMatrix(n, heads * f, 223);
+  const Tensor upstream = TestMatrix(n, heads, 227);
+  std::vector<Tensor> a_vals;
+  for (int64_t k = 0; k < heads; ++k) {
+    a_vals.push_back(TestMatrix(f, 1, 229 + static_cast<uint64_t>(k)));
+  }
+
+  Variable h(h_val, /*requires_grad=*/true);
+  std::vector<Variable> a;
+  for (const Tensor& v : a_vals) a.emplace_back(v, /*requires_grad=*/true);
+  const Variable s = ops::GatScores(h, a);
+  ops::SumAll(ops::Mul(s, Variable(upstream))).Backward();
+
+  // Reference: one (n, f) leaf and one MatMul per head.
+  std::vector<Variable> ref_h, ref_a, ref_s;
+  for (int64_t k = 0; k < heads; ++k) {
+    Tensor hk(n, f);
+    for (int64_t r = 0; r < n; ++r) {
+      for (int64_t c = 0; c < f; ++c) hk.at(r, c) = h_val.at(r, k * f + c);
+    }
+    ref_h.emplace_back(hk, /*requires_grad=*/true);
+    ref_a.emplace_back(a_vals[static_cast<size_t>(k)], /*requires_grad=*/true);
+    ref_s.push_back(ops::MatMul(ref_h.back(), ref_a.back()));
+  }
+  const Variable ref = ops::ConcatCols(ref_s);
+  ops::SumAll(ops::Mul(ref, Variable(upstream))).Backward();
+
+  ExpectSameBits(s.value(), ref.value(), "GatScores forward");
+  for (int64_t k = 0; k < heads; ++k) {
+    Tensor dh_k(n, f);
+    for (int64_t r = 0; r < n; ++r) {
+      for (int64_t c = 0; c < f; ++c) dh_k.at(r, c) = h.grad().at(r, k * f + c);
+    }
+    ExpectSameBits(dh_k, ref_h[static_cast<size_t>(k)].grad(), "GatScores d_h");
+    ExpectSameBits(a[static_cast<size_t>(k)].grad(),
+                   ref_a[static_cast<size_t>(k)].grad(), "GatScores d_a");
+  }
+}
+
+TEST(GatScores, GradCheckAgainstFiniteDifferences) {
+  Rng rng(233);
+  std::vector<Variable> inputs;
+  inputs.emplace_back(Tensor::Randn(7, 6, &rng), /*requires_grad=*/true);
+  inputs.emplace_back(Tensor::Randn(3, 1, &rng), /*requires_grad=*/true);
+  inputs.emplace_back(Tensor::Randn(3, 1, &rng), /*requires_grad=*/true);
+  const Tensor w = Tensor::Randn(7, 2, &rng);
+  auto fn = [&](const std::vector<Variable>& in) {
+    return ops::SumAll(
+        ops::Mul(ops::GatScores(in[0], {in[1], in[2]}), Variable(w)));
+  };
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const GradCheckResult r = CheckGradient(fn, &inputs, i);
+    EXPECT_TRUE(r.ok) << "input " << i << " max_abs_err=" << r.max_abs_err
+                      << " max_rel_err=" << r.max_rel_err << " at "
+                      << r.worst_index;
+  }
+}
+
+/// Output, every parameter gradient (by name) and the next raw draw of the
+/// dropout stream after one forward + backward of a GAT layer.
+struct GatLayerRun {
+  Tensor out;
+  std::vector<std::pair<std::string, Tensor>> grads;
+  uint64_t next_draw = 0;
+};
+
+GatLayerRun RunGatLayer(const nn::GATConv& conv, const graph::Graph& g,
+                        const nn::LayerInput& x, float dropout, bool fused) {
+  for (Variable& p : conv.Parameters()) p.ZeroGrad();
+  Rng drop_rng(239);
+  const Variable out =
+      fused ? conv.Forward(g, x, /*training=*/true, &drop_rng)
+            : PerHeadGatForward(conv, g, x, dropout, /*negative_slope=*/0.2f,
+                                /*training=*/true, &drop_rng);
+  Rng wr(241);
+  const Variable weights(
+      Tensor::Randn(out.value().rows(), out.value().cols(), &wr));
+  ops::SumAll(ops::Mul(out, weights)).Backward();
+  GatLayerRun run;
+  run.out = out.value();
+  for (const auto& [name, p] : conv.NamedParameters()) {
+    run.grads.emplace_back(name, p.grad());
+  }
+  run.next_draw = drop_rng.Next();
+  return run;
+}
+
+/// Reachable op nodes (non-leaves) of a tape, counting each once.
+int CountOpNodes(const Variable& root) {
+  std::vector<const AutogradNode*> stack = {root.node().get()};
+  std::vector<const AutogradNode*> seen;
+  int ops_seen = 0;
+  while (!stack.empty()) {
+    const AutogradNode* n = stack.back();
+    stack.pop_back();
+    if (std::find(seen.begin(), seen.end(), n) != seen.end()) continue;
+    seen.push_back(n);
+    if (!n->is_leaf) ++ops_seen;
+    for (const auto& p : n->parents) stack.push_back(p.get());
+  }
+  return ops_seen;
+}
+
+TEST(MultiHeadGat, MatchesPerHeadReferenceBitwise) {
+  data::GeneratorOptions o;
+  o.num_nodes = 2048;
+  o.num_edges = 4 * o.num_nodes;
+  o.num_features = 12;
+  o.num_classes = 3;
+  o.seed = 251;
+  const data::Dataset ds = std::move(data::GenerateDataset(o)).value();
+  // 4 heads over ~18k edges: the attention mask spans several
+  // kDropoutMaskChunk chunks, so it takes the parallel draw.
+  const int heads = 4;
+  const int restore = SweptThreadCounts().back();
+  for (const bool sparse : {false, true}) {
+    const nn::LayerInput x =
+        sparse ? nn::LayerInput::Sparse(ds.FeaturesCsr())
+               : nn::LayerInput::Dense(Variable(ds.features));
+    for (const float dropout : {0.0f, 0.5f}) {
+      Rng init(257);
+      const nn::GATConv conv(ds.num_features(), /*out_per_head=*/6, heads,
+                             &init, dropout);
+      GatLayerRun first;
+      for (const int threads : SweptThreadCounts()) {
+        SetThreads(threads);
+        SCOPED_TRACE(std::string(sparse ? "sparse" : "dense") +
+                     " dropout=" + std::to_string(dropout) +
+                     " threads=" + std::to_string(threads));
+        const GatLayerRun fused = RunGatLayer(conv, ds.graph, x, dropout, true);
+        const GatLayerRun ref = RunGatLayer(conv, ds.graph, x, dropout, false);
+        ExpectSameBits(fused.out, ref.out, "layer output");
+        ASSERT_EQ(fused.grads.size(), ref.grads.size());
+        for (size_t i = 0; i < fused.grads.size(); ++i) {
+          ExpectSameBits(fused.grads[i].second, ref.grads[i].second,
+                         fused.grads[i].first.c_str());
+        }
+        EXPECT_EQ(fused.next_draw, ref.next_draw) << "dropout stream";
+        if (threads == 1) {
+          first = fused;
+        } else {
+          ExpectSameBits(fused.out, first.out, "output vs 1 thread");
+          EXPECT_EQ(fused.next_draw, first.next_draw);
+        }
+      }
+    }
+  }
+  SetThreads(restore);
+}
+
+TEST(MultiHeadGat, RecordsFiveTapeNodesForAnyHeadCount) {
+  const data::Dataset ds = [] {
+    data::GeneratorOptions o;
+    o.num_nodes = 64;
+    o.num_edges = 256;
+    o.num_features = 8;
+    o.num_classes = 3;
+    o.seed = 263;
+    return std::move(data::GenerateDataset(o)).value();
+  }();
+  for (const int heads : {2, 4, 8}) {
+    Rng init(269);
+    const nn::GATConv conv(ds.num_features(), 4, heads, &init);
+    const Variable out = conv.Forward(
+        ds.graph, nn::LayerInput::Sparse(ds.FeaturesCsr()), false, nullptr);
+    // Weight concat, projection, two GatScores, one attention kernel.
+    EXPECT_EQ(CountOpNodes(out), 5) << heads << " heads";
+  }
 }
 
 #ifdef _OPENMP
