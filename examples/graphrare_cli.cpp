@@ -321,7 +321,8 @@ int main(int argc, char** argv) {
     if (flags.GetBool("rare")) {
       std::fprintf(stderr,
                    "error: --minibatch and --rare cannot be combined; "
-                   "GraphRARE co-training is full-graph only for now\n");
+                   "for block-sampled GraphRARE co-training use --rare "
+                   "--rl-blocks=B\n");
       return 2;
     }
     core::ExperimentOptions opts;

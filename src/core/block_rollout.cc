@@ -240,8 +240,8 @@ GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
       BuildRunIndex(dataset, options, &run_rng, &result);
 
   Stopwatch train_watch;
-  auto model =
-      nn::MakeModel(options.backbone, MakeModelOptions(dataset, options));
+  auto model = nn::MakeModel(options.backbone,
+                             MakeModelOptions(dataset, options, options.seed));
   nn::MiniBatchTrainer::Options trainer_opts;
   trainer_opts.adam = options.adam;
   trainer_opts.seed = options.seed;
@@ -334,7 +334,7 @@ GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
     }
   }
 
-  FinishRun(trainer.full_graph(), best_weights, dataset, split, options,
+  FinishRun(&trainer, best_weights, dataset, split, options,
             std::move(model), train_watch, &result);
   return result;
 }

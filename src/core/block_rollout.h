@@ -9,7 +9,8 @@
 //    block-local: the state covers the block's nodes, rewiring runs
 //    BuildOptimizedGraph against the block's induced graph with a
 //    RelativeEntropyIndex::Restrict view, and Eq. 11 rewards come from
-//    nn::MiniBatchTrainer finetune/eval steps on the block's train subset.
+//    nn::MiniBatchTrainer block steps (TrainBatch / EvaluateBlock) on the
+//    block's train subset.
 //
 //  * BlockRolloutRunner — consumes B scheduled blocks per round from a
 //    data::BlockPipeline (partition-aware seed batching + optional
@@ -20,13 +21,16 @@
 //    conflict accounting surfaced through core::telemetry.
 //
 //  * RunBlockCoTraining — the Algorithm-1-shaped driver: entropy index,
-//    pretraining, rollout rounds, validation-based model/graph selection.
+//    pretraining (FitMiniBatch, through the trainer's one early-stopping
+//    loop), rollout rounds, validation-based model/graph selection.
 //
 // Full-graph mode is the B=1, fanout=infinity special case (empty
 // `fanouts`: the block is graph::FullSubgraph over all nodes). It
 // reproduces a full-graph episode bitwise — same rewards, same rewired
-// edge set, same post-finetune weights as a reference loop over
-// nn::ClassifierTrainer (tests/block_rollout_test.cc).
+// edge set, same post-finetune weights as a reference loop of full-graph
+// nn::ClassifierTrainer::TrainEpoch steps (tests/block_rollout_test.cc).
+// nn::MiniBatchTrainer is a ClassifierTrainer, so both paths share one
+// model, one Adam state and one set of weight snapshots.
 
 #ifndef GRAPHRARE_CORE_BLOCK_ROLLOUT_H_
 #define GRAPHRARE_CORE_BLOCK_ROLLOUT_H_

@@ -26,20 +26,6 @@ RunStats Aggregate(const std::vector<double>& values) {
 
 namespace {
 
-nn::ModelOptions ToModelOptions(const data::Dataset& dataset,
-                                const ExperimentOptions& options,
-                                uint64_t seed) {
-  nn::ModelOptions mo;
-  mo.in_features = dataset.num_features();
-  mo.hidden = options.hidden;
-  mo.num_classes = dataset.num_classes;
-  mo.num_layers = options.num_layers;
-  mo.dropout = options.dropout;
-  mo.gat_heads = options.gat_heads;
-  mo.seed = seed;
-  return mo;
-}
-
 /// One split's outcome, for AggregateSplitRuns. `seconds` covers the fit
 /// only (model construction and test evaluation stay untimed).
 struct SplitRun {
@@ -118,7 +104,7 @@ BaselineAggregate RunBackbone(const data::Dataset& dataset,
   return RunCustomModel(
       dataset, splits,
       [&](uint64_t seed) {
-        return nn::MakeModel(kind, ToModelOptions(dataset, options, seed));
+        return nn::MakeModel(kind, MakeModelOptions(dataset, options, seed));
       },
       options, graph_override);
 }
@@ -161,7 +147,7 @@ BaselineAggregate RunBackboneMiniBatch(const data::Dataset& dataset,
       splits, options.seed,
       [&](const data::Split& split, uint64_t seed) {
         auto model =
-            nn::MakeModel(kind, ToModelOptions(dataset, options, seed));
+            nn::MakeModel(kind, MakeModelOptions(dataset, options, seed));
         nn::MiniBatchTrainer::Options trainer_opts;
         trainer_opts.adam = options.adam;
         trainer_opts.seed = seed;
@@ -170,7 +156,7 @@ BaselineAggregate RunBackboneMiniBatch(const data::Dataset& dataset,
         MiniBatchOptions per_split = mb;
         per_split.sampler.seed = mb.sampler.seed + 131 * seed;
         Stopwatch watch;
-        const MiniBatchFitResult fit = FitMiniBatch(
+        const nn::FitResult fit = FitMiniBatch(
             &trainer, g, split.train, split.val, per_split, seed);
         SplitRun run;
         run.seconds = watch.ElapsedSeconds();

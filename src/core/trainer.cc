@@ -82,19 +82,6 @@ DerivedSeeds DeriveSeeds(uint64_t master) {
   return s;
 }
 
-nn::ModelOptions MakeModelOptions(const data::Dataset& dataset,
-                                  const GraphRareOptions& options) {
-  nn::ModelOptions mo;
-  mo.in_features = dataset.num_features();
-  mo.hidden = options.hidden;
-  mo.num_classes = dataset.num_classes;
-  mo.num_layers = options.num_layers;
-  mo.dropout = options.dropout;
-  mo.gat_heads = options.gat_heads;
-  mo.seed = options.seed;
-  return mo;
-}
-
 entropy::RelativeEntropyIndex BuildRunIndex(const data::Dataset& dataset,
                                             const GraphRareOptions& options,
                                             Rng* run_rng,
@@ -129,7 +116,7 @@ void FinishRun(nn::ClassifierTrainer* trainer,
   result->train_seconds = train_watch.ElapsedSeconds();
   result->model = std::move(model);
   result->backbone = options.backbone;
-  result->model_options = MakeModelOptions(dataset, options);
+  result->model_options = MakeModelOptions(dataset, options, options.seed);
   result->seed = options.seed;
 }
 
@@ -144,12 +131,11 @@ Status MiniBatchOptions::Validate() const {
   return sampler.Validate();
 }
 
-MiniBatchFitResult FitMiniBatch(nn::MiniBatchTrainer* trainer,
-                                const graph::Graph& g,
-                                const std::vector<int64_t>& train_idx,
-                                const std::vector<int64_t>& val_idx,
-                                const MiniBatchOptions& options,
-                                uint64_t seed) {
+nn::FitResult FitMiniBatch(nn::MiniBatchTrainer* trainer,
+                           const graph::Graph& g,
+                           const std::vector<int64_t>& train_idx,
+                           const std::vector<int64_t>& val_idx,
+                           const MiniBatchOptions& options, uint64_t seed) {
   GR_CHECK(trainer != nullptr);
   GR_CHECK(!train_idx.empty());
   GR_CHECK(!val_idx.empty());
@@ -157,43 +143,28 @@ MiniBatchFitResult FitMiniBatch(nn::MiniBatchTrainer* trainer,
 
   data::NeighborSampler sampler(&g, options.sampler);
   Rng shuffle_rng(seed ^ 0xB47C4E5ULL);
-
-  MiniBatchFitResult result;
-  std::vector<tensor::Tensor> best_weights = trainer->SaveWeights();
-  int since_best = 0;
-  for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
-    const auto batches = data::NeighborSampler::MakeBatches(
-        train_idx, options.batch_size, options.shuffle, &shuffle_rng);
-    double loss_sum = 0.0;
-    double acc_sum = 0.0;
-    int64_t seeds_seen = 0;
-    for (const auto& batch : batches) {
-      const graph::Subgraph block = sampler.SampleBlock(batch);
-      const nn::EvalResult step = trainer->TrainBatch(block);
-      const auto weight = static_cast<double>(batch.size());
-      loss_sum += step.loss * weight;
-      acc_sum += step.accuracy * weight;
-      seeds_seen += static_cast<int64_t>(batch.size());
-      ++result.batches_run;
-    }
-    result.train_loss_history.push_back(loss_sum /
-                                        static_cast<double>(seeds_seen));
-    result.train_acc_history.push_back(acc_sum /
-                                       static_cast<double>(seeds_seen));
-    const double val_acc = trainer->Evaluate(g, val_idx).accuracy;
-    result.val_acc_history.push_back(val_acc);
-    ++result.epochs_run;
-    if (val_acc > result.best_val_accuracy) {
-      result.best_val_accuracy = val_acc;
-      result.best_epoch = epoch;
-      best_weights = trainer->SaveWeights();
-      since_best = 0;
-    } else if (++since_best >= options.patience) {
-      break;
-    }
-  }
-  trainer->LoadWeights(best_weights);
-  return result;
+  return trainer->Fit(
+      [&](int64_t* batches_run) {
+        const auto batches = data::NeighborSampler::MakeBatches(
+            train_idx, options.batch_size, options.shuffle, &shuffle_rng);
+        double loss_sum = 0.0;
+        double acc_sum = 0.0;
+        int64_t seeds_seen = 0;
+        for (const auto& batch : batches) {
+          const nn::EvalResult step =
+              trainer->TrainBatch(sampler.SampleBlock(batch));
+          const auto weight = static_cast<double>(batch.size());
+          loss_sum += step.loss * weight;
+          acc_sum += step.accuracy * weight;
+          seeds_seen += static_cast<int64_t>(batch.size());
+          ++*batches_run;
+        }
+        nn::EvalResult epoch;
+        epoch.loss = loss_sum / static_cast<double>(seeds_seen);
+        epoch.accuracy = acc_sum / static_cast<double>(seeds_seen);
+        return epoch;
+      },
+      g, val_idx, options.max_epochs, options.patience);
 }
 
 GraphRareTrainer::GraphRareTrainer(const data::Dataset* dataset,
@@ -231,7 +202,8 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
   // --- Backbone + supervised trainer. ---
   Stopwatch train_watch;
   auto model =
-      nn::MakeModel(options_.backbone, MakeModelOptions(*dataset_, options_));
+      nn::MakeModel(options_.backbone,
+                    MakeModelOptions(*dataset_, options_, options_.seed));
   nn::ClassifierTrainer::Options trainer_opts;
   trainer_opts.adam = options_.adam;
   trainer_opts.seed = options_.seed;

@@ -156,9 +156,23 @@ struct GraphRareResult {
 
 // ---- Algorithm 1 scaffolding shared by both co-training loops ------------
 
-/// The backbone architecture a GraphRareOptions describes for `dataset`.
+/// The backbone architecture `options` describes for `dataset`, seeded
+/// with `seed`. Shared by GraphRareOptions and ExperimentOptions, which
+/// both carry hidden / num_layers / dropout / gat_heads.
+template <typename BackboneOptions>
 nn::ModelOptions MakeModelOptions(const data::Dataset& dataset,
-                                  const GraphRareOptions& options);
+                                  const BackboneOptions& options,
+                                  uint64_t seed) {
+  nn::ModelOptions mo;
+  mo.in_features = dataset.num_features();
+  mo.hidden = options.hidden;
+  mo.num_classes = dataset.num_classes;
+  mo.num_layers = options.num_layers;
+  mo.dropout = options.dropout;
+  mo.gat_heads = options.gat_heads;
+  mo.seed = seed;
+  return mo;
+}
 
 /// Node relative entropy on G_0, computed once (Algorithm 1, lines 1-6)
 /// with the run's derived entropy seed. SequenceMode::kShuffled then
@@ -174,7 +188,7 @@ entropy::RelativeEntropyIndex BuildRunIndex(const data::Dataset& dataset,
 /// `best_weights`, evaluates them on the test split over
 /// result->best_graph, records the final-graph statistics and
 /// train_seconds, and hands `model` to the result. RunBlockCoTraining
-/// passes its nn::MiniBatchTrainer's full_graph() twin.
+/// passes its nn::MiniBatchTrainer, which is a ClassifierTrainer.
 void FinishRun(nn::ClassifierTrainer* trainer,
                const std::vector<tensor::Tensor>& best_weights,
                const data::Dataset& dataset, const data::Split& split,
@@ -197,28 +211,15 @@ struct MiniBatchOptions {
   Status Validate() const;
 };
 
-/// Outcome of a FitMiniBatch run.
-struct MiniBatchFitResult {
-  int epochs_run = 0;
-  int64_t batches_run = 0;
-  double best_val_accuracy = 0.0;
-  int best_epoch = -1;
-  /// Per-epoch seed-weighted means over the epoch's batches.
-  std::vector<double> train_loss_history;
-  std::vector<double> train_acc_history;
-  /// Per-epoch full-graph validation accuracy.
-  std::vector<double> val_acc_history;
-};
-
-/// Trains on sampled blocks with early stopping on full-graph validation
-/// accuracy; restores the best weights before returning. `seed` drives the
-/// epoch shuffling (the sampler's own seed lives in options.sampler).
-MiniBatchFitResult FitMiniBatch(nn::MiniBatchTrainer* trainer,
-                                const graph::Graph& g,
-                                const std::vector<int64_t>& train_idx,
-                                const std::vector<int64_t>& val_idx,
-                                const MiniBatchOptions& options,
-                                uint64_t seed);
+/// Trains on sampled blocks through nn::ClassifierTrainer::Fit's
+/// early-stopping loop (full-graph validation accuracy; best weights
+/// restored before returning). `seed` drives the epoch shuffling (the
+/// sampler's own seed lives in options.sampler).
+nn::FitResult FitMiniBatch(nn::MiniBatchTrainer* trainer,
+                           const graph::Graph& g,
+                           const std::vector<int64_t>& train_idx,
+                           const std::vector<int64_t>& val_idx,
+                           const MiniBatchOptions& options, uint64_t seed);
 
 /// Runs Algorithm 1 on one dataset split.
 class GraphRareTrainer {

@@ -1,13 +1,15 @@
 // Copyright 2026 The GraphRARE Authors.
 //
-// Supervised training driver for node classifiers. Exposes both a
-// full-fit-with-early-stopping entry point (baselines) and single-epoch /
-// evaluate-only steps (the GraphRARE co-training loop interleaves these
-// with RL updates).
+// Supervised training driver for node classifiers: one trainer, one Adam
+// state and one early-stopping loop. MiniBatchTrainer is ClassifierTrainer
+// plus block-scoped steps on sampled subgraphs. Fit serves baselines and
+// pretraining; the GraphRARE co-training loops interleave single steps and
+// evaluations with RL updates.
 
 #ifndef GRAPHRARE_NN_TRAINER_H_
 #define GRAPHRARE_NN_TRAINER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,9 +30,15 @@ struct EvalResult {
 /// Outcome of a Fit() run.
 struct FitResult {
   int epochs_run = 0;
+  /// Optimizer steps: one per full-graph epoch, one per mini-batch block.
+  int64_t batches_run = 0;
   double best_val_accuracy = 0.0;
   int best_epoch = -1;
+  /// Per-epoch training loss/accuracy (seed-weighted means over a
+  /// mini-batch epoch's blocks).
+  std::vector<double> train_loss_history;
   std::vector<double> train_acc_history;
+  /// Per-epoch full-graph validation accuracy.
   std::vector<double> val_acc_history;
 };
 
@@ -43,6 +51,10 @@ class ClassifierTrainer {
     Adam::Options adam;
     uint64_t seed = 1;  ///< dropout stream
   };
+
+  /// One training epoch inside Fit: returns the epoch's training
+  /// loss/accuracy and adds its optimizer steps to `*batches_run`.
+  using EpochFn = std::function<EvalResult(int64_t* batches_run)>;
 
   /// `model` and `labels` must outlive the trainer.
   ClassifierTrainer(NodeClassifier* model, LayerInput features,
@@ -60,9 +72,17 @@ class ClassifierTrainer {
   /// Full logits in eval mode (for test metrics / AUC).
   tensor::Tensor EvalLogits(const graph::Graph& g);
 
-  /// Trains with early stopping on validation accuracy; restores the best
-  /// weights before returning.
+  /// Trains full-graph epochs with early stopping on validation accuracy;
+  /// restores the best weights before returning.
   FitResult Fit(const graph::Graph& g, const std::vector<int64_t>& train_idx,
+                const std::vector<int64_t>& val_idx, int max_epochs,
+                int patience);
+
+  /// The early-stopping loop behind every fit: runs `train_epoch` up to
+  /// `max_epochs` times, scores full-graph validation accuracy on `g`
+  /// after each, snapshots the best weights, stops after `patience`
+  /// epochs without improvement and restores the best weights.
+  FitResult Fit(const EpochFn& train_epoch, const graph::Graph& g,
                 const std::vector<int64_t>& val_idx, int max_epochs,
                 int patience);
 
@@ -73,7 +93,29 @@ class ClassifierTrainer {
   NodeClassifier* model() { return model_; }
   Adam* optimizer() { return optimizer_.get(); }
 
+ protected:
+  /// ZeroGrad -> training forward drawing dropout from `rng` ->
+  /// cross-entropy over rows `rows` against labels `y` -> Backward -> Adam
+  /// step. Loss/accuracy come from that same forward pass.
+  EvalResult Step(const ModelInputs& inputs, Rng* rng,
+                  const std::vector<int64_t>& rows,
+                  const std::vector<int64_t>& y);
+
+  /// Eval-mode forward (no dropout, no gradients).
+  tensor::Tensor Forward(const ModelInputs& inputs) const;
+
+  /// Eval-mode loss/accuracy over rows `rows` against labels `y`.
+  EvalResult Score(const ModelInputs& inputs, const std::vector<int64_t>& rows,
+                   const std::vector<int64_t>& y) const;
+
+  /// Labels of `nodes`, in order.
+  std::vector<int64_t> LabelsOf(const std::vector<int64_t>& nodes) const;
+
+  const LayerInput& features() const { return features_; }
+
  private:
+  ModelInputs FullGraph(const graph::Graph& g) const;
+
   NodeClassifier* model_;
   LayerInput features_;
   const std::vector<int64_t>* labels_;
@@ -81,17 +123,15 @@ class ClassifierTrainer {
   Rng dropout_rng_;
 };
 
-/// Mini-batch trainer: optimizes the model one sampled block at a time
-/// (the block comes from data::NeighborSampler via graph::InducedSubgraph)
-/// while evaluation stays full-graph. Per-step memory and compute scale
-/// with the block, not the whole adjacency, which is what lets training
-/// reach graphs far beyond full-graph SpMM budgets.
-class MiniBatchTrainer {
+/// The same trainer, plus optimization one sampled block at a time (the
+/// block comes from data::NeighborSampler via graph::InducedSubgraph).
+/// Per-step memory and compute scale with the block, not the whole
+/// adjacency, which is what lets training reach graphs far beyond
+/// full-graph SpMM budgets. Full-graph epochs, evaluation, Fit and the
+/// weight snapshots are the inherited ones, on one Adam state.
+class MiniBatchTrainer : public ClassifierTrainer {
  public:
-  struct Options {
-    Adam::Options adam;
-    uint64_t seed = 1;  ///< dropout stream
-  };
+  using Options = ClassifierTrainer::Options;
 
   /// `model` and `labels` must outlive the trainer. `features` is the
   /// *global* feature matrix; per-batch slices are taken per block.
@@ -102,14 +142,9 @@ class MiniBatchTrainer {
 
   /// One optimization step on a sampled block; loss/accuracy are over the
   /// block's seed nodes, from the same forward pass that produced the
-  /// update.
+  /// update. Block steps draw dropout from their own stream, apart from
+  /// TrainEpoch's.
   EvalResult TrainBatch(const graph::Subgraph& block);
-
-  /// Full-graph evaluation (no dropout, no gradients) on `idx`.
-  EvalResult Evaluate(const graph::Graph& g, const std::vector<int64_t>& idx);
-
-  /// Full logits in eval mode on the full graph.
-  tensor::Tensor EvalLogits(const graph::Graph& g);
 
   /// Block-scoped evaluation (no dropout, no gradients): forward on
   /// block.graph with the block's feature rows, loss/accuracy over the
@@ -121,25 +156,10 @@ class MiniBatchTrainer {
   /// Block-graph logits in eval mode (one row per *local* node).
   tensor::Tensor EvalLogitsBlock(const graph::Subgraph& block);
 
-  std::vector<tensor::Tensor> SaveWeights() const {
-    return full_.SaveWeights();
-  }
-  void LoadWeights(const std::vector<tensor::Tensor>& weights) {
-    full_.LoadWeights(weights);
-  }
-
-  NodeClassifier* model() { return full_.model(); }
-  Adam* optimizer() { return full_.optimizer(); }
-  /// The full-graph twin behind Evaluate and the weight snapshots.
-  ClassifierTrainer* full_graph() { return &full_; }
-
  private:
-  /// Full-graph twin: owns the optimizer and the evaluation paths so the
-  /// two training modes share one Adam state and weight snapshots.
-  ClassifierTrainer full_;
-  std::shared_ptr<const tensor::CsrMatrix> features_;
-  const std::vector<int64_t>* labels_;
-  Rng dropout_rng_;
+  ModelInputs BlockInputs(const graph::Subgraph& block) const;
+
+  Rng block_dropout_rng_;
 };
 
 }  // namespace nn

@@ -98,7 +98,7 @@ TEST(DeterminismTest, MiniBatchFitIdenticalAcrossRuns) {
   so.num_splits = 1;
   auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
 
-  auto run_once = [&](core::MiniBatchFitResult* fit_out) {
+  auto run_once = [&](nn::FitResult* fit_out) {
     nn::ModelOptions mo;
     mo.in_features = ds.num_features();
     mo.hidden = 16;
@@ -120,8 +120,8 @@ TEST(DeterminismTest, MiniBatchFitIdenticalAcrossRuns) {
     return trainer.EvalLogits(ds.graph);
   };
 
-  core::MiniBatchFitResult fit_a;
-  core::MiniBatchFitResult fit_b;
+  nn::FitResult fit_a;
+  nn::FitResult fit_b;
   const tensor::Tensor logits_a = run_once(&fit_a);
   const tensor::Tensor logits_b = run_once(&fit_b);
 

@@ -206,6 +206,34 @@ TEST(IntegrationTest, ExperimentRunnerAggregates) {
   EXPECT_GT(agg.seconds_per_epoch, 0.0);
 }
 
+TEST(IntegrationTest, MiniBatchRunnerIsDeterministic) {
+  // The CLI's --minibatch path: one split of neighbor-sampled training.
+  data::Dataset ds = SmallHeterophilic(11);
+  data::SplitOptions so;
+  so.num_splits = 1;
+  auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
+
+  core::ExperimentOptions eo;
+  eo.num_splits = 1;
+  eo.hidden = 16;
+  core::MiniBatchOptions mb;
+  mb.sampler.fanouts = {5, 5};
+  mb.sampler.seed = 3;
+  mb.batch_size = 32;
+  mb.max_epochs = 4;
+  mb.patience = 4;
+  const core::BaselineAggregate a = core::RunBackboneMiniBatch(
+      ds, splits, nn::BackboneKind::kSage, eo, mb);
+  const core::BaselineAggregate b = core::RunBackboneMiniBatch(
+      ds, splits, nn::BackboneKind::kSage, eo, mb);
+
+  ASSERT_EQ(a.accuracy.values.size(), 1u);
+  EXPECT_GE(a.accuracy.mean, 0.0);
+  EXPECT_LE(a.accuracy.mean, 1.0);
+  EXPECT_GT(a.seconds_per_epoch, 0.0);
+  EXPECT_EQ(a.accuracy.values, b.accuracy.values);
+}
+
 TEST(IntegrationTest, RewiringBaselinesRun) {
   data::Dataset ds = SmallHeterophilic(12);
   data::SplitOptions so;

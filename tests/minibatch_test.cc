@@ -203,7 +203,7 @@ TEST(MiniBatchTest, FitMiniBatchLearnsTheSyntheticTask) {
   mb.batch_size = 64;
   mb.max_epochs = 30;
   mb.patience = 30;
-  const core::MiniBatchFitResult fit = core::FitMiniBatch(
+  const nn::FitResult fit = core::FitMiniBatch(
       &trainer, ds.graph, splits[0].train, splits[0].val, mb, /*seed=*/5);
 
   EXPECT_EQ(fit.epochs_run, 30);
@@ -214,6 +214,125 @@ TEST(MiniBatchTest, FitMiniBatchLearnsTheSyntheticTask) {
   EXPECT_GT(test_acc, 0.7);
   // Training loss went down overall.
   EXPECT_LT(fit.train_loss_history.back(), fit.train_loss_history.front());
+}
+
+/// FNV-1a over raw bytes: the golden pins below hash bit patterns, so a
+/// one-ulp drift anywhere in the trajectory changes the digest.
+uint64_t Fnv1a(uint64_t h, const void* bytes, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001B3ULL;
+  return h;
+}
+
+uint64_t HashValue(uint64_t h, double v) { return Fnv1a(h, &v, sizeof(v)); }
+
+uint64_t HashHistory(uint64_t h, const std::vector<double>& v) {
+  return Fnv1a(h, v.data(), v.size() * sizeof(double));
+}
+
+uint64_t HashStep(uint64_t h, const nn::EvalResult& r) {
+  return HashValue(HashValue(h, r.loss), r.accuracy);
+}
+
+/// Trains one MiniBatchTrainer at dropout 0.5 through both dropout
+/// streams — full-graph TrainEpoch (seed ^ 0xA5A5A5A5) and block
+/// TrainBatch (seed ^ 0x3C3C3C3C) — then a short Fit and a short
+/// FitMiniBatch, and digests every loss, history and the final weights.
+uint64_t DropoutStreamDigest(nn::BackboneKind kind) {
+  data::GeneratorOptions o;
+  o.num_nodes = 200;
+  o.num_edges = 600;
+  o.num_features = 32;
+  o.num_classes = 3;
+  o.homophily = 0.5;
+  o.seed = 21;
+  data::Dataset ds = std::move(data::GenerateDataset(o)).value();
+  data::SplitOptions split_opts;
+  split_opts.num_splits = 1;
+  const data::Split split =
+      data::MakeSplits(ds.labels, ds.num_classes, split_opts)[0];
+
+  nn::ModelOptions mo;
+  mo.in_features = ds.num_features();
+  mo.hidden = 12;
+  mo.num_classes = ds.num_classes;
+  mo.dropout = 0.5f;
+  mo.gat_heads = 2;
+  mo.seed = 22;
+  auto model = nn::MakeModel(kind, mo);
+  nn::MiniBatchTrainer::Options to;
+  to.seed = 23;
+  nn::MiniBatchTrainer mb(model.get(), ds.FeaturesCsr(), &ds.labels, to);
+  nn::ClassifierTrainer& full = mb;
+
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (int e = 0; e < 3; ++e) {
+    h = HashStep(h, full.TrainEpoch(ds.graph, split.train));
+  }
+
+  SamplerOptions so;
+  so.fanouts = {4, 4};
+  so.seed = 24;
+  NeighborSampler sampler(&ds.graph, so);
+  Rng batch_rng(25);
+  const auto batches =
+      NeighborSampler::MakeBatches(split.train, 32, true, &batch_rng);
+  GR_CHECK_GE(batches.size(), 3u);
+  for (size_t b = 0; b < 3; ++b) {
+    h = HashStep(h, mb.TrainBatch(sampler.SampleBlock(batches[b])));
+  }
+  h = HashStep(h, mb.Evaluate(ds.graph, split.val));
+
+  const auto fit = full.Fit(ds.graph, split.train, split.val, 4, 2);
+  h = HashValue(h, fit.epochs_run);
+  h = HashValue(h, fit.best_epoch);
+  h = HashValue(h, fit.best_val_accuracy);
+  h = HashHistory(h, fit.train_acc_history);
+  h = HashHistory(h, fit.val_acc_history);
+
+  core::MiniBatchOptions mbo;
+  mbo.sampler = so;
+  mbo.batch_size = 32;
+  mbo.max_epochs = 3;
+  mbo.patience = 2;
+  const auto mb_fit = core::FitMiniBatch(&mb, ds.graph, split.train,
+                                         split.val, mbo, /*seed=*/26);
+  h = HashValue(h, mb_fit.epochs_run);
+  h = HashValue(h, static_cast<double>(mb_fit.batches_run));
+  h = HashValue(h, mb_fit.best_epoch);
+  h = HashValue(h, mb_fit.best_val_accuracy);
+  h = HashHistory(h, mb_fit.train_loss_history);
+  h = HashHistory(h, mb_fit.train_acc_history);
+  h = HashHistory(h, mb_fit.val_acc_history);
+
+  for (const auto& [name, value] : model->StateDict()) {
+    h = Fnv1a(h, name.data(), name.size());
+    h = Fnv1a(h, value.data(),
+              static_cast<size_t>(value.numel()) * sizeof(float));
+  }
+  return h;
+}
+
+// The digests are bit patterns of float arithmetic, so they depend on
+// whether the compiler fuses multiply-adds: optimised builds for an FMA
+// host (the default -march=native Release) contract a*b+c into one
+// rounding; Debug builds and builds without FMA round every step.
+#if defined(__OPTIMIZE__) && defined(__FMA__)
+constexpr uint64_t kSageDigest = 0x8a6a96a68acb4ef4ULL;
+constexpr uint64_t kGatDigest = 0x24e3f103f9389a25ULL;
+#else
+constexpr uint64_t kSageDigest = 0x39c031060d6d057cULL;
+constexpr uint64_t kGatDigest = 0xfc0cab9efa7478b7ULL;
+#endif
+
+TEST(MiniBatchGoldenTest, SageDropoutStreamsArePinned) {
+  const uint64_t digest = DropoutStreamDigest(nn::BackboneKind::kSage);
+  EXPECT_EQ(digest, kSageDigest) << std::hex << "0x" << digest;
+}
+
+TEST(MiniBatchGoldenTest, GatDropoutStreamsArePinned) {
+  const uint64_t digest = DropoutStreamDigest(nn::BackboneKind::kGat);
+  EXPECT_EQ(digest, kGatDigest) << std::hex << "0x" << digest;
 }
 
 TEST(MiniBatchTest, SelectRowsSlicesFeatureRowsExactly) {
