@@ -4,9 +4,18 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace graphrare {
 namespace entropy {
+
+namespace {
+
+// Pairs per parallel chunk: a pair costs one embedding dot product or one
+// exp, so chunks this long amortise the scheduling overhead.
+constexpr int64_t kPairGrain = 8192;
+
+}  // namespace
 
 tensor::Tensor EmbedFeatures(const tensor::Tensor& features,
                              const FeatureEmbeddingOptions& options) {
@@ -44,26 +53,31 @@ double EmbeddingDot(const tensor::Tensor& embeddings, int64_t v, int64_t u) {
 
 std::vector<double> FeatureEntropyForPairs(
     const tensor::Tensor& embeddings, const std::vector<NodePair>& pairs) {
-  std::vector<double> logits;
-  logits.reserve(pairs.size());
-  for (const auto& [v, u] : pairs) {
-    logits.push_back(EmbeddingDot(embeddings, v, u));
-  }
-  if (logits.empty()) return {};
+  const int64_t n = static_cast<int64_t>(pairs.size());
+  if (n == 0) return {};
+  std::vector<double> logits(pairs.size());
+  ParallelFor(n, kPairGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const auto& [v, u] = pairs[static_cast<size_t>(i)];
+      logits[static_cast<size_t>(i)] = EmbeddingDot(embeddings, v, u);
+    }
+  });
 
-  // log Z via log-sum-exp over the pair set.
+  // log Z via log-sum-exp over the pair set: one ascending serial fold, so
+  // the normaliser rounds exactly like a single-threaded loop.
   const double mx = *std::max_element(logits.begin(), logits.end());
   double sum_exp = 0.0;
   for (double s : logits) sum_exp += std::exp(s - mx);
   const double log_z = mx + std::log(sum_exp);
 
-  std::vector<double> entropies;
-  entropies.reserve(pairs.size());
-  for (double s : logits) {
-    const double log_p = s - log_z;   // always <= 0
-    const double p = std::exp(log_p);
-    entropies.push_back(-p * log_p);  // -P log P (Eq. 4)
-  }
+  std::vector<double> entropies(pairs.size());
+  ParallelFor(n, kPairGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const double log_p = logits[static_cast<size_t>(i)] - log_z;  // <= 0
+      const double p = std::exp(log_p);
+      entropies[static_cast<size_t>(i)] = -p * log_p;  // -P log P (Eq. 4)
+    }
+  });
   return entropies;
 }
 

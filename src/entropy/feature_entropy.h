@@ -10,6 +10,13 @@
 // The embedding function phi is a seeded random projection (an untrained
 // MLP layer, matching the paper's one-off pre-training computation) plus
 // optional L2 normalisation; phi = identity when projection_dim == 0.
+//
+// Parallelism: FeatureEntropyForPairs maps the logits and the entropies
+// with ParallelFor; each pair writes only its own slot. The log-sum-exp
+// normaliser is the one serial part: its exp terms are summed in one
+// ascending fold (not the fixed-block ParallelReduce, whose block spec
+// would change the rounding), so the results are bitwise those of a
+// single-threaded loop under any OMP_NUM_THREADS and with OpenMP off.
 
 #ifndef GRAPHRARE_ENTROPY_FEATURE_ENTROPY_H_
 #define GRAPHRARE_ENTROPY_FEATURE_ENTROPY_H_

@@ -1,14 +1,18 @@
 #include "entropy/relative_entropy.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace graphrare {
 namespace entropy {
 
 namespace {
+
+// Nodes per dynamically scheduled chunk when assembling or restricting
+// sequences; per-node cost varies with degree and candidate count.
+constexpr int64_t kNodeGrain = 64;
 
 // Canonical sequence orders (shared by Build and ApplyEdits so incremental
 // refresh lands candidates exactly where a full rebuild would put them).
@@ -32,6 +36,22 @@ bool ExtractNode(std::vector<ScoredNode>* seq, int64_t node, double* score) {
   }
   return false;
 }
+
+// Min-max rescale of the feature entropies to [0, 1] (all-equal values map
+// to 0.5), applied where each value is consumed.
+struct MinMaxScale {
+  double mn = 0.0, range = 0.0;
+  explicit MinMaxScale(const std::vector<double>& values) {
+    if (values.empty()) return;
+    const auto [mn_it, mx_it] =
+        std::minmax_element(values.begin(), values.end());
+    mn = *mn_it;
+    range = *mx_it - mn;
+  }
+  double operator()(double h) const {
+    return range > 0.0 ? (h - mn) / range : 0.5;
+  }
+};
 
 void InsertSorted(std::vector<ScoredNode>* seq, ScoredNode s,
                   bool (*order)(const ScoredNode&, const ScoredNode&)) {
@@ -68,45 +88,48 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
   StructuralEntropyCalculator structural(g);
 
   // --- Candidate generation: per-node remote candidates + 1-hop pairs. ---
+  // Serial: the 2-hop sampling and the random draws consume one RNG stream
+  // in node order.
   std::vector<NodePair> pairs;            // all (v, candidate) pairs
   std::vector<int64_t> pair_owner_begin;  // per node: offset into `pairs`
   std::vector<int64_t> remote_count;      // per node: #remote pairs
   pair_owner_begin.reserve(static_cast<size_t>(n) + 1);
   remote_count.reserve(static_cast<size_t>(n));
 
-  std::unordered_set<int64_t> taken;
+  // mark[c] == v: c is already taken for v (v itself, a neighbour, or a
+  // 2-hop node — sampled or not — or an earlier random draw).
+  std::vector<int64_t> mark(static_cast<size_t>(n), -1);
+  std::vector<int64_t> two_hop, sampled, random_remote;
   for (int64_t v = 0; v < n; ++v) {
     pair_owner_begin.push_back(static_cast<int64_t>(pairs.size()));
-    taken.clear();
-    taken.insert(v);
+    mark[static_cast<size_t>(v)] = v;
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
-      taken.insert(*p);
+      mark[static_cast<size_t>(*p)] = v;
     }
 
     // 2-hop candidates (sampled down when large).
-    std::vector<int64_t> two_hop;
+    two_hop.clear();
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
       for (const int64_t* q = g.NeighborsBegin(*p); q != g.NeighborsEnd(*p);
            ++q) {
-        if (!taken.count(*q)) {
-          taken.insert(*q);
+        if (mark[static_cast<size_t>(*q)] != v) {
+          mark[static_cast<size_t>(*q)] = v;
           two_hop.push_back(*q);
         }
       }
     }
     if (static_cast<int>(two_hop.size()) > options.max_two_hop_candidates) {
       // Sample without replacement, deterministically.
-      std::vector<int64_t> picks = rng.SampleWithoutReplacement(
+      const std::vector<int64_t> picks = rng.SampleWithoutReplacement(
           static_cast<int64_t>(two_hop.size()),
           options.max_two_hop_candidates);
-      std::vector<int64_t> sampled;
-      sampled.reserve(picks.size());
+      sampled.clear();
       for (int64_t i : picks) sampled.push_back(two_hop[static_cast<size_t>(i)]);
-      two_hop = std::move(sampled);
+      two_hop.swap(sampled);
     }
 
     // Uniform remote candidates (anywhere in the graph).
-    std::vector<int64_t> random_remote;
+    random_remote.clear();
     int attempts = 0;
     while (static_cast<int>(random_remote.size()) <
                options.num_random_candidates &&
@@ -114,22 +137,16 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
       ++attempts;
       const int64_t c = static_cast<int64_t>(
           rng.UniformInt(static_cast<uint64_t>(n)));
-      if (!taken.count(c)) {
-        taken.insert(c);
+      if (mark[static_cast<size_t>(c)] != v) {
+        mark[static_cast<size_t>(c)] = v;
         random_remote.push_back(c);
       }
     }
 
-    int64_t remote = 0;
-    for (int64_t c : two_hop) {
-      pairs.emplace_back(v, c);
-      ++remote;
-    }
-    for (int64_t c : random_remote) {
-      pairs.emplace_back(v, c);
-      ++remote;
-    }
-    remote_count.push_back(remote);
+    for (int64_t c : two_hop) pairs.emplace_back(v, c);
+    for (int64_t c : random_remote) pairs.emplace_back(v, c);
+    remote_count.push_back(
+        static_cast<int64_t>(two_hop.size() + random_remote.size()));
     // 1-hop pairs (for the deletion sequence).
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
       pairs.emplace_back(v, *p);
@@ -137,39 +154,42 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
   }
   pair_owner_begin.push_back(static_cast<int64_t>(pairs.size()));
 
-  // --- Feature entropy over the whole pair set, then min-max rescale. ---
-  std::vector<double> hf = FeatureEntropyForPairs(z, pairs);
-  if (!hf.empty()) {
-    const auto [mn_it, mx_it] = std::minmax_element(hf.begin(), hf.end());
-    const double mn = *mn_it, mx = *mx_it;
-    const double range = mx - mn;
-    for (double& h : hf) {
-      h = range > 0.0 ? (h - mn) / range : 0.5;
-    }
-  }
+  // --- Feature entropy over the whole pair set, min-max rescaled. ---
+  const std::vector<double> hf = FeatureEntropyForPairs(z, pairs);
+  const MinMaxScale rescale(hf);
 
-  // --- Assemble sequences. ---
+  // --- Assemble sequences: each node fills and sorts only its own lists.
+  // The lists are sized here, on the calling thread, so the index is not
+  // spread over the workers' malloc arenas (which raised peak RSS).
   RelativeEntropyIndex index;
   index.lambda_ = options.lambda;
   index.sequences_.resize(static_cast<size_t>(n));
-  for (int64_t v = 0; v < n; ++v) {
-    NodeSequences& seq = index.sequences_[static_cast<size_t>(v)];
-    const int64_t begin = pair_owner_begin[static_cast<size_t>(v)];
-    const int64_t end = pair_owner_begin[static_cast<size_t>(v) + 1];
-    const int64_t n_remote = remote_count[static_cast<size_t>(v)];
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t u = pairs[static_cast<size_t>(i)].second;
-      const double h = hf[static_cast<size_t>(i)] +
-                       options.lambda * structural.Between(v, u);
-      if (i - begin < n_remote) {
-        seq.remote.push_back({u, h});
-      } else {
-        seq.neighbors.push_back({u, h});
-      }
-    }
-    std::sort(seq.remote.begin(), seq.remote.end(), RemoteOrder);
-    std::sort(seq.neighbors.begin(), seq.neighbors.end(), NeighborOrder);
+  for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
+    const int64_t n_pairs = pair_owner_begin[v + 1] - pair_owner_begin[v];
+    index.sequences_[v].remote.reserve(static_cast<size_t>(remote_count[v]));
+    index.sequences_[v].neighbors.reserve(
+        static_cast<size_t>(n_pairs - remote_count[v]));
   }
+  ParallelForDynamic(n, kNodeGrain, [&](int64_t node_begin, int64_t node_end) {
+    for (int64_t v = node_begin; v < node_end; ++v) {
+      NodeSequences& seq = index.sequences_[static_cast<size_t>(v)];
+      const int64_t begin = pair_owner_begin[static_cast<size_t>(v)];
+      const int64_t end = pair_owner_begin[static_cast<size_t>(v) + 1];
+      const int64_t n_remote = remote_count[static_cast<size_t>(v)];
+      for (int64_t i = begin; i < end; ++i) {
+        const int64_t u = pairs[static_cast<size_t>(i)].second;
+        const double h = rescale(hf[static_cast<size_t>(i)]) +
+                         options.lambda * structural.Between(v, u);
+        if (i - begin < n_remote) {
+          seq.remote.push_back({u, h});
+        } else {
+          seq.neighbors.push_back({u, h});
+        }
+      }
+      std::sort(seq.remote.begin(), seq.remote.end(), RemoteOrder);
+      std::sort(seq.neighbors.begin(), seq.neighbors.end(), NeighborOrder);
+    }
+  });
   return index;
 }
 
@@ -186,23 +206,33 @@ RelativeEntropyIndex RelativeEntropyIndex::Restrict(
   RelativeEntropyIndex out;
   out.lambda_ = lambda_;
   out.sequences_.resize(block.nodes.size());
+  // Sized on the calling thread (see Build), then each local node fills
+  // only its own output slot.
   for (size_t l = 0; l < block.nodes.size(); ++l) {
     const int64_t global = block.nodes[l];
     GR_CHECK(global >= 0 && global < num_nodes())
         << "Restrict: block node outside the indexed graph";
     const NodeSequences& src = sequences_[static_cast<size_t>(global)];
-    NodeSequences& dst = out.sequences_[l];
-    dst.remote.reserve(src.remote.size());
-    for (const ScoredNode& s : src.remote) {
-      const int64_t local = block.GlobalToLocal(s.node);
-      if (local >= 0) dst.remote.push_back({local, s.entropy});
-    }
-    dst.neighbors.reserve(src.neighbors.size());
-    for (const ScoredNode& s : src.neighbors) {
-      const int64_t local = block.GlobalToLocal(s.node);
-      if (local >= 0) dst.neighbors.push_back({local, s.entropy});
-    }
+    out.sequences_[l].remote.reserve(src.remote.size());
+    out.sequences_[l].neighbors.reserve(src.neighbors.size());
   }
+  ParallelForDynamic(
+      static_cast<int64_t>(block.nodes.size()), kNodeGrain,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t l = begin; l < end; ++l) {
+          const int64_t global = block.nodes[static_cast<size_t>(l)];
+          const NodeSequences& src = sequences_[static_cast<size_t>(global)];
+          NodeSequences& dst = out.sequences_[static_cast<size_t>(l)];
+          for (const ScoredNode& s : src.remote) {
+            const int64_t local = block.GlobalToLocal(s.node);
+            if (local >= 0) dst.remote.push_back({local, s.entropy});
+          }
+          for (const ScoredNode& s : src.neighbors) {
+            const int64_t local = block.GlobalToLocal(s.node);
+            if (local >= 0) dst.neighbors.push_back({local, s.entropy});
+          }
+        }
+      });
   return out;
 }
 
@@ -251,19 +281,15 @@ tensor::Tensor DenseRelativeEntropyMatrix(const graph::Graph& g,
   for (int64_t v = 0; v < n; ++v) {
     for (int64_t u = v + 1; u < n; ++u) pairs.emplace_back(v, u);
   }
-  std::vector<double> hf = FeatureEntropyForPairs(z, pairs);
-  if (!hf.empty()) {
-    const auto [mn_it, mx_it] = std::minmax_element(hf.begin(), hf.end());
-    const double mn = *mn_it, range = *mx_it - mn;
-    for (double& h : hf) h = range > 0.0 ? (h - mn) / range : 0.5;
-  }
+  const std::vector<double> hf = FeatureEntropyForPairs(z, pairs);
+  const MinMaxScale rescale(hf);
 
   tensor::Tensor m(n, n);
   size_t k = 0;
   for (int64_t v = 0; v < n; ++v) {
     for (int64_t u = v + 1; u < n; ++u, ++k) {
       const float h = static_cast<float>(
-          hf[k] + options.lambda * structural.Between(v, u));
+          rescale(hf[k]) + options.lambda * structural.Between(v, u));
       m.at(v, u) = h;
       m.at(u, v) = h;
     }

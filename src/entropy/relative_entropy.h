@@ -9,6 +9,15 @@
 // Table VI reports that cost separately). Remote candidates per node are
 // its 2-hop neighbourhood (sampled down when huge) plus uniformly sampled
 // remote nodes — the paper's sparse-computation note made concrete.
+//
+// Parallelism: Build runs feature entropy (see feature_entropy.h), the
+// min-max rescale and the per-node sequence assembly and sort in parallel,
+// one parallel region per stage; Restrict remaps block nodes in parallel.
+// Every node writes only its own sequences, so the index is bitwise the
+// same under any OMP_NUM_THREADS and with OpenMP off. Two parts stay
+// serial: candidate generation, because the 2-hop sampling and random
+// draws consume one RNG stream in node order, and the log-sum-exp
+// normaliser, an ascending fold whose rounding a parallel sum would change.
 
 #ifndef GRAPHRARE_ENTROPY_RELATIVE_ENTROPY_H_
 #define GRAPHRARE_ENTROPY_RELATIVE_ENTROPY_H_

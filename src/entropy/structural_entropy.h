@@ -21,8 +21,11 @@ namespace entropy {
 /// Inputs must be non-negative and sum to 1 (up to rounding). Log base 2.
 double JsDivergence(const std::vector<float>& p, const std::vector<float>& q);
 
-/// Precomputes every node's normalised degree sequence once, then answers
-/// pairwise structural-entropy queries in O(len(v) + len(u)).
+/// Precomputes every node's normalised degree sequence and its entropy
+/// H(p(v)) once, then answers pairwise structural-entropy queries in
+/// O(max(len(v), len(u))) by computing only the mixture entropy H(m).
+/// Between is bitwise equal to 1 - JsDivergence(p(v), p(u)) and is safe to
+/// call concurrently.
 class StructuralEntropyCalculator {
  public:
   explicit StructuralEntropyCalculator(const graph::Graph& g);
@@ -38,6 +41,7 @@ class StructuralEntropyCalculator {
 
  private:
   std::vector<std::vector<float>> sequences_;
+  std::vector<double> self_entropy_;  // H(p(v)) in nats
 };
 
 }  // namespace entropy

@@ -5,8 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "data/generator.h"
 #include "entropy/relative_entropy.h"
@@ -115,6 +122,65 @@ TEST(StructuralEntropyTest, IsolatedNodeHandled) {
   EXPECT_LE(h, 1.0);
 }
 
+// Value oracles for Eqs. 5-8. Each node's distribution is its own degree
+// followed by its neighbours' degrees, sorted descending and divided by the
+// sum; the calculator stores the quotients as float, so the expected values
+// below start from the same float-rounded probabilities. JS is in bits:
+//   JS(p, q) = [H(m) - (H(p) + H(q)) / 2] / ln 2,  m = (p + q) / 2,
+//   H(x) = -sum_i x_i ln x_i,  and H_s = 1 - JS.
+
+double XLnX(double x) { return x > 0.0 ? x * std::log(x) : 0.0; }
+
+double Stored(double x) { return static_cast<float>(x); }
+
+TEST(StructuralEntropyTest, StarMatchesHandComputedValues) {
+  // Star: hub 0 (degree 3) with leaves 1, 2, 3 (degree 1).
+  //   p(0)    = [3, 1, 1, 1] / 6 = [1/2, 1/6, 1/6, 1/6]
+  //   p(leaf) = [3, 1] / 4       = [3/4, 1/4]
+  //   m       = [5/8, 5/24, 1/12, 1/12]   (with the stored 1/6)
+  //   H(p(0))    = -(1/2 ln 1/2 + 3 * 1/6 ln 1/6)
+  //   H(p(leaf)) = -(3/4 ln 3/4 + 1/4 ln 1/4)
+  graph::Graph g =
+      graph::Graph::FromEdgeListOrDie(4, {{0, 1}, {0, 2}, {0, 3}});
+  StructuralEntropyCalculator calc(g);
+  const double half = 0.5, sixth = Stored(1.0 / 6.0);
+  const double h_hub = -(XLnX(half) + 3.0 * XLnX(sixth));
+  const double h_leaf = -(XLnX(0.75) + XLnX(0.25));
+  const double h_mix = -(XLnX(0.5 * (half + 0.75)) +
+                         XLnX(0.5 * (sixth + 0.25)) + 2.0 * XLnX(0.5 * sixth));
+  const double js_bits = (h_mix - 0.5 * (h_hub + h_leaf)) / std::log(2.0);
+  // js_bits ~= 0.190875, so the hub/leaf similarity is ~0.809125.
+  EXPECT_NEAR(calc.Between(0, 1), 1.0 - js_bits, 1e-12);
+  EXPECT_NEAR(calc.Between(3, 0), 1.0 - js_bits, 1e-12);
+  EXPECT_NEAR(calc.Between(1, 2), 1.0, 1e-12);
+  EXPECT_NEAR(calc.Between(0, 0), 1.0, 1e-12);
+  EXPECT_NEAR(calc.Between(0, 1), 0.809125, 1e-6);
+}
+
+TEST(StructuralEntropyTest, PathMatchesHandComputedValues) {
+  // Path 0-1-2-3: degrees 1, 2, 2, 1.
+  //   p(0) = p(3) = [2, 1] / 3    = [2/3, 1/3]        (zero-padded to 3)
+  //   p(1) = p(2) = [2, 2, 1] / 5 = [2/5, 2/5, 1/5]
+  //   m(0, 1)     = [8/15, 11/30, 1/10]
+  graph::Graph g =
+      graph::Graph::FromEdgeListOrDie(4, {{0, 1}, {1, 2}, {2, 3}});
+  StructuralEntropyCalculator calc(g);
+  const double a0 = Stored(2.0 / 3.0), a1 = Stored(1.0 / 3.0);
+  const double b0 = Stored(2.0 / 5.0), b2 = Stored(1.0 / 5.0);
+  const double h_end = -(XLnX(a0) + XLnX(a1));
+  const double h_mid = -(2.0 * XLnX(b0) + XLnX(b2));
+  const double h_mix = -(XLnX(0.5 * (a0 + b0)) + XLnX(0.5 * (a1 + b0)) +
+                         XLnX(0.5 * b2));
+  const double js_bits = (h_mix - 0.5 * (h_end + h_mid)) / std::log(2.0);
+  // js_bits ~= 0.126491, so the end/middle similarity is ~0.873509.
+  EXPECT_NEAR(calc.Between(0, 1), 1.0 - js_bits, 1e-12);
+  EXPECT_NEAR(calc.Between(2, 3), 1.0 - js_bits, 1e-12);
+  EXPECT_NEAR(calc.Between(0, 2), 1.0 - js_bits, 1e-12);
+  EXPECT_NEAR(calc.Between(0, 3), 1.0, 1e-12);
+  EXPECT_NEAR(calc.Between(1, 2), 1.0, 1e-12);
+  EXPECT_NEAR(calc.Between(0, 1), 0.873509, 1e-6);
+}
+
 // ---- Feature entropy --------------------------------------------------------
 
 TEST(FeatureEntropyTest, EmbeddingL2Normalised) {
@@ -189,6 +255,32 @@ TEST(FeatureEntropyTest, EntropiesPositive) {
   }
   const auto h = FeatureEntropyForPairs(z, pairs);
   for (double e : h) EXPECT_GT(e, 0.0);
+}
+
+TEST(FeatureEntropyTest, MatchesHandComputedValues) {
+  // Eq. 4 on fixed 2-d embeddings z0 = (1, 0), z1 = (0.5, 0.5),
+  // z2 = (-1, 0) and the pair set {(0,1), (0,2), (1,2)}:
+  //   logits s = <z_v, z_u> = [0.5, -1, -0.5]
+  //   Z = e^0.5 + e^-1 + e^-0.5 ~= 1.648721 + 0.367879 + 0.606531 = 2.623131
+  //   P_i = e^{s_i} / Z ~= [0.628532, 0.140244, 0.231224]
+  //   H_i = -P_i ln P_i = -P_i (s_i - ln Z)
+  //       ~= [0.291871, 0.275492, 0.338597]
+  const tensor::Tensor z =
+      tensor::Tensor::FromData(3, 2, {1.0f, 0.0f, 0.5f, 0.5f, -1.0f, 0.0f});
+  const std::vector<double> h =
+      FeatureEntropyForPairs(z, {{0, 1}, {0, 2}, {1, 2}});
+  ASSERT_EQ(h.size(), 3u);
+  const double log_z =
+      std::log(std::exp(0.5) + std::exp(-1.0) + std::exp(-0.5));
+  const double s[3] = {0.5, -1.0, -0.5};
+  for (int i = 0; i < 3; ++i) {
+    const double log_p = s[i] - log_z;
+    EXPECT_NEAR(h[static_cast<size_t>(i)], -std::exp(log_p) * log_p, 1e-12)
+        << "pair " << i;
+  }
+  EXPECT_NEAR(h[0], 0.291871, 1e-6);
+  EXPECT_NEAR(h[1], 0.275492, 1e-6);
+  EXPECT_NEAR(h[2], 0.338597, 1e-6);
 }
 
 TEST(FeatureEntropyTest, EmptyPairsGiveEmpty) {
@@ -391,6 +483,85 @@ TEST(RelativeEntropyIndexTest, ValidationErrors) {
   tensor::Tensor bad(ds.num_nodes() + 1, 4);
   EXPECT_FALSE(RelativeEntropyIndex::Build(ds.graph, bad, {}).ok());
 }
+
+// ---- Golden pin and thread invariance --------------------------------------
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t len) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+uint64_t HashScored(uint64_t h, const std::vector<ScoredNode>& seq) {
+  const uint64_t len = seq.size();
+  h = Fnv1a(h, &len, sizeof(len));
+  for (const ScoredNode& s : seq) {
+    uint64_t bits;
+    std::memcpy(&bits, &s.entropy, sizeof(bits));
+    h = Fnv1a(h, &s.node, sizeof(s.node));
+    h = Fnv1a(h, &bits, sizeof(bits));
+  }
+  return h;
+}
+
+/// Builds the index with default options on a ~2k-node skewed graph (hub
+/// 2-hop sets overflow the candidate cap, so the sampled path runs), hashes
+/// every sequence's (node, entropy bits) in node order, then folds in the
+/// bits of a small dense relative-entropy matrix.
+uint64_t IndexDigest() {
+  data::GeneratorOptions o;
+  o.num_nodes = 2000;
+  o.num_edges = 8000;
+  o.num_features = 96;
+  o.num_classes = 5;
+  o.homophily = 0.3;
+  o.degree_power = 0.7;
+  o.seed = 41;
+  const data::Dataset ds = std::move(data::GenerateDataset(o)).value();
+  const RelativeEntropyIndex index =
+      *RelativeEntropyIndex::Build(ds.graph, ds.features, {});
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (int64_t v = 0; v < index.num_nodes(); ++v) {
+    h = HashScored(h, index.sequences(v).remote);
+    h = HashScored(h, index.sequences(v).neighbors);
+  }
+  const data::Dataset small = TestDataset();
+  const tensor::Tensor m =
+      DenseRelativeEntropyMatrix(small.graph, small.features, {});
+  h = Fnv1a(h, m.data(), static_cast<size_t>(m.numel()) * sizeof(float));
+  return h;
+}
+
+// The digest is a bit pattern of float arithmetic, and src/entropy is
+// compiled with the compiler's default FP contraction: optimised builds for
+// an FMA host fuse multiply-adds into one rounding; Debug builds and builds
+// without FMA round every step.
+#if defined(__OPTIMIZE__) && defined(__FMA__)
+constexpr uint64_t kIndexDigest = 0x7dc5214d81af562eULL;
+#else
+constexpr uint64_t kIndexDigest = 0xf43d096ade58f694ULL;
+#endif
+
+TEST(RelativeEntropyGoldenTest, IndexIsPinned) {
+  const uint64_t digest = IndexDigest();
+  EXPECT_EQ(digest, kIndexDigest) << std::hex << "0x" << digest;
+}
+
+#ifdef _OPENMP
+TEST(RelativeEntropyGoldenTest, IndexIsThreadCountInvariant) {
+  const int old_threads = omp_get_max_threads();
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    const uint64_t digest = IndexDigest();
+    EXPECT_EQ(digest, kIndexDigest)
+        << threads << " threads: " << std::hex << "0x" << digest;
+  }
+  omp_set_num_threads(old_threads);
+}
+#endif  // _OPENMP
 
 TEST(DenseEntropyMatrixTest, SymmetricWithEmptyDiagonal) {
   data::Dataset ds = TestDataset();
