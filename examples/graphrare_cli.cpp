@@ -1,8 +1,9 @@
 // Command-line runner: train any backbone with or without GraphRARE on any
 // registry dataset, export telemetry, the optimized graph, and a
-// deployable model artifact — or serve a previously saved artifact.
+// deployable model artifact. Serving a saved artifact is
+// examples/graphrare_serve's job.
 //
-// Usage (training):
+// Usage:
 //   graphrare_cli [--dataset=cornell] [--backbone=gcn] [--rare]
 //                 [--splits=3] [--iterations=20] [--lambda=1.0]
 //                 [--k-max=5] [--d-max=5] [--seed=1] [--lr=0.01]
@@ -15,10 +16,6 @@
 //                 [--rl-entropy-refresh] [--csr-reorder=degree|rcm]
 //                 [--telemetry=out.csv] [--save-graph=out.graph]
 //                 [--save-artifact=model.grare]
-//
-// Usage (serving a saved artifact; no dataset or training involved):
-//   graphrare_cli --serve-artifact=model.grare --predict=0,1,2
-//                 [--topk=3] [--serve-fanouts=10,10] [--seed=1]
 //
 // --seed is the single master seed: it fans out to the dataset generator,
 // splits, entropy candidate sampling, PPO, the neighbor sampler, and the
@@ -46,9 +43,8 @@
 //
 // --save-artifact packages the last split's co-trained backbone plus its
 // optimized graph (serve::ModelArtifact); it requires --rare since plain
-// baselines train one throwaway model per split. --serve-artifact reloads
-// such a file into a serve::InferenceEngine: exact full-graph inference by
-// default, fanout-bounded sampled inference with --serve-fanouts.
+// baselines train one throwaway model per split. graphrare_serve
+// --artifact=model.grare loads such a file and answers queries.
 //
 // Examples:
 //   ./build/examples/graphrare_cli --dataset=texas --backbone=sage --rare
@@ -59,8 +55,6 @@
 //       --rl-blocks=8 --rl-block-fanouts=10,10 --rl-block-seeds=128
 //   ./build/examples/graphrare_cli --dataset=cornell --rare
 //       --save-artifact=model.grare
-//   ./build/examples/graphrare_cli --serve-artifact=model.grare
-//       --predict=0,5,17 --topk=3
 
 #include <algorithm>
 #include <cstdio>
@@ -85,11 +79,10 @@ namespace {
 const std::set<std::string> kKnownFlags = {
     "backbone", "batch-size", "csr-reorder", "d-max", "dataset",
     "epochs", "fanouts", "iterations", "k-max", "lambda", "lr",
-    "minibatch", "patience", "predict", "rare", "rl-block-fanouts",
-    "rl-block-seeds", "rl-blocks", "rl-entropy-refresh", "rl-partition",
-    "rl-prefetch-depth", "rl-producers", "rl-steps", "sample-replace",
-    "save-artifact", "save-graph", "seed", "serve-artifact",
-    "serve-fanouts", "splits", "telemetry", "topk"};
+    "minibatch", "patience", "rare", "rl-block-fanouts", "rl-block-seeds",
+    "rl-blocks", "rl-entropy-refresh", "rl-partition", "rl-prefetch-depth",
+    "rl-producers", "rl-steps", "sample-replace", "save-artifact",
+    "save-graph", "seed", "splits", "telemetry"};
 
 /// Parses "10,10,5" into a fanout vector (-1 entries = unlimited fanout).
 std::vector<int64_t> ParseFanouts(const std::string& spec) {
@@ -105,22 +98,6 @@ std::vector<int64_t> ParseFanouts(const std::string& spec) {
     }
   }
   return fanouts;
-}
-
-/// Parses "0,5,17" into a node-id list (non-negative integers).
-std::vector<int64_t> ParseNodeIds(const std::string& spec) {
-  std::vector<int64_t> ids;
-  if (!ParseInt64List(spec, &ids)) {
-    std::fprintf(stderr, "invalid node id list: %s\n", spec.c_str());
-    std::exit(2);
-  }
-  for (const int64_t id : ids) {
-    if (id < 0) {
-      std::fprintf(stderr, "invalid node id list: %s\n", spec.c_str());
-      std::exit(2);
-    }
-  }
-  return ids;
 }
 
 /// Applies --csr-reorder: relabels the dataset's nodes (graph, feature
@@ -160,69 +137,6 @@ void MaybeReorderDataset(const Flags& flags, data::Dataset* dataset) {
   dataset->labels = std::move(labels);
   std::printf("csr-reorder=%s: relabelled %lld nodes\n", spec.c_str(),
               static_cast<long long>(n));
-}
-
-/// --serve-artifact mode: load, predict, print. Returns the process exit
-/// code.
-int ServeArtifact(const Flags& flags) {
-  const std::string artifact_path = flags.Get("serve-artifact", "");
-  serve::EngineOptions engine_opts;
-  const std::string fanout_spec = flags.Get("serve-fanouts", "");
-  if (!fanout_spec.empty()) {
-    engine_opts.fanouts = ParseFanouts(fanout_spec);
-  }
-  engine_opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  auto engine_or =
-      serve::InferenceEngine::LoadFrom(artifact_path, engine_opts);
-  if (!engine_or.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 engine_or.status().ToString().c_str());
-    return 1;
-  }
-  const serve::InferenceEngine& engine = *engine_or;
-  const serve::ModelArtifact& art = engine.artifact();
-  std::printf("artifact=%s dataset=%s backbone=%s nodes=%lld classes=%lld "
-              "mode=%s\n",
-              artifact_path.c_str(), art.dataset_name.c_str(),
-              nn::BackboneName(art.backbone),
-              static_cast<long long>(engine.num_nodes()),
-              static_cast<long long>(engine.num_classes()),
-              engine.full_graph_mode() ? "full-graph" : "sampled");
-
-  const std::string predict_spec = flags.Get("predict", "");
-  if (predict_spec.empty()) {
-    std::fprintf(stderr,
-                 "error: --serve-artifact needs --predict=ID,ID,...\n");
-    return 2;
-  }
-  const std::vector<int64_t> ids = ParseNodeIds(predict_spec);
-  const int topk = flags.GetInt("topk", 1);
-
-  auto preds_or = engine.Predict(ids);
-  if (!preds_or.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 preds_or.status().ToString().c_str());
-    return 1;
-  }
-  for (const serve::Prediction& p : preds_or.value()) {
-    std::printf("node %lld -> class %lld",
-                static_cast<long long>(p.node),
-                static_cast<long long>(p.predicted_class));
-    if (topk > 1) {
-      // Rank the probabilities already in hand: a fresh engine.TopK call
-      // would re-sample in sampled mode and could disagree with p.
-      std::printf("  top%d:", topk);
-      for (const auto& [cls, prob] : serve::TopKOf(p, topk)) {
-        std::printf(" %lld=%.4f", static_cast<long long>(cls), prob);
-      }
-    } else {
-      std::printf("  p=%.4f",
-                  p.probabilities[static_cast<size_t>(p.predicted_class)]);
-    }
-    std::printf("\n");
-  }
-  return 0;
 }
 
 /// Writes what --telemetry, --save-graph and --save-artifact ask for from
@@ -269,11 +183,6 @@ int WriteRunOutputs(const Flags& flags, const core::GraphRareResult& run,
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   const Flags flags(argc, argv, kKnownFlags);
-
-  // Serve mode: no dataset, no training — just artifact + queries.
-  if (!flags.Get("serve-artifact", "").empty()) {
-    return ServeArtifact(flags);
-  }
 
   const std::string dataset_name = flags.Get("dataset", "cornell");
   const std::string backbone_name = flags.Get("backbone", "gcn");

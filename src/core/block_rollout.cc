@@ -232,6 +232,14 @@ GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
                                    const GraphRareOptions& options,
                                    const BlockRolloutOptions& rollout_in) {
   GR_CHECK_OK(options.Validate());
+  // The block envs always act with the PPO policy and rewire with the
+  // default TopologyOptimizerOptions; refuse settings they would ignore.
+  GR_CHECK(options.policy_mode == PolicyMode::kDrl)
+      << "RunBlockCoTraining supports only policy_mode kDrl";
+  GR_CHECK(options.enable_add)
+      << "RunBlockCoTraining does not support enable_add = false";
+  GR_CHECK(options.enable_remove)
+      << "RunBlockCoTraining does not support enable_remove = false";
   const DerivedSeeds seeds = DeriveSeeds(options.seed);
   Rng run_rng(seeds.run);
 

@@ -212,6 +212,12 @@ class BlockRolloutRunner {
 /// Fills the GraphRareResult fields both paths share plus env_steps and
 /// round_telemetry; the per-iteration train-accuracy and homophily
 /// histories stay empty.
+///
+/// Only PPO-driven rewiring with both edge additions and removals is
+/// supported: a `policy_mode` other than kDrl, or `enable_add` /
+/// `enable_remove` set to false, aborts with a GR_CHECK naming the field.
+/// `finetune_epochs` is not used; every env step finetunes for
+/// `rollout.env.gnn_epochs_per_step` epochs instead.
 GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
                                    const data::Split& split,
                                    const GraphRareOptions& options,

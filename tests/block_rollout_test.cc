@@ -101,6 +101,33 @@ TEST(BlockRolloutOptionsTest, Validation) {
   EXPECT_FALSE(o.Validate().ok());
 }
 
+// The block driver always rewires with PPO and both edit kinds; options it
+// would otherwise ignore abort before any work starts.
+TEST(RunBlockCoTrainingDeathTest, RejectsOptionsItWouldIgnore) {
+  const data::Dataset ds = MakeSparseDataset(3);
+  data::SplitOptions so;
+  so.num_splits = 1;
+  const auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
+  const BlockRolloutOptions ro;
+
+  core::GraphRareOptions fixed;
+  fixed.policy_mode = core::PolicyMode::kFixed;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], fixed, ro),
+               "policy_mode");
+  core::GraphRareOptions random;
+  random.policy_mode = core::PolicyMode::kRandom;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], random, ro),
+               "policy_mode");
+  core::GraphRareOptions no_add;
+  no_add.enable_add = false;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], no_add, ro),
+               "enable_add");
+  core::GraphRareOptions no_remove;
+  no_remove.enable_remove = false;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], no_remove, ro),
+               "enable_remove");
+}
+
 // ---- Restrict remap integrity ----------------------------------------------
 
 TEST(RestrictTest, IdentityBlockReproducesIndexExactly) {

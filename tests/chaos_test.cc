@@ -3,27 +3,23 @@
 // probability streams, crash-safe artifact saves (the incumbent file is
 // byte-identical after a failed overwrite at any injectable stage),
 // per-section checksum detection of torn/corrupt artifacts, EINTR storms
-// and short reads/writes on both the artifact and socket paths, deadline
-// shedding with 503 + Retry-After, the overload watchdog, reload rollback
-// under concurrent load at every injectable failure stage, the reload
-// circuit breaker lifecycle, and the accounting of responses whose client
-// has gone. Run alone with `ctest -L chaos`.
+// and short reads/writes on both the artifact and socket paths (including
+// zero drops under pipelined concurrent load through the continuous
+// batcher), deadline shedding with 503 + Retry-After, the overload
+// watchdog, reload rollback under concurrent load at every injectable
+// failure stage, the reload circuit breaker lifecycle, and the accounting
+// of responses whose client has gone. Run alone with `ctest -L chaos`.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,6 +33,8 @@
 #include "common/failpoint.h"
 #include "core/graphrare.h"
 #include "net/server.h"
+
+#include "http_test_client.h"
 
 namespace graphrare {
 namespace {
@@ -357,8 +355,10 @@ TEST_F(ChaosTest, TornArtifactSweepNeverCrashes) {
 
 // ---- Batcher: deadlines and the overload watchdog -------------------------
 
-std::shared_ptr<serve::EngineHandle> MakeHandle(uint64_t seed) {
-  auto engine_or = serve::InferenceEngine::FromArtifact(MakeArtifact(seed), {});
+std::shared_ptr<serve::EngineHandle> MakeHandle(
+    uint64_t seed, const serve::EngineOptions& engine_options = {}) {
+  auto engine_or =
+      serve::InferenceEngine::FromArtifact(MakeArtifact(seed), engine_options);
   GR_CHECK(engine_or.ok()) << engine_or.status().ToString();
   return std::make_shared<serve::EngineHandle>(
       std::make_shared<const serve::InferenceEngine>(
@@ -465,145 +465,19 @@ TEST_F(ChaosTest, OverloadWatchdogShrinksThenRecovers) {
   batcher.Stop();
 }
 
-// ---- HTTP client (mirrors http_server_test, plus custom headers) ----------
+// ---- HTTP server fixture --------------------------------------------------
 
-struct ClientResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;  // lowercased names
-  std::string body;
-};
-
-class TestClient {
- public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv = {30, 0};  // chaos runs are slow under sanitizers
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool ok() const { return fd_ >= 0; }
-
-  /// Closes with a TCP reset (SO_LINGER 0), so the server sees the
-  /// connection fail rather than a half-close it would still answer.
-  void Abort() {
-    struct linger lg = {1, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-    ::close(fd_);
-    fd_ = -1;
-  }
-
-  void Send(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return;
-      }
-      off += static_cast<size_t>(n);
-    }
-  }
-
-  void Request(const std::string& method, const std::string& target,
-               const std::string& body = "") {
-    RequestWithHeaders(method, target, {}, body);
-  }
-
-  void RequestWithHeaders(
-      const std::string& method, const std::string& target,
-      const std::vector<std::pair<std::string, std::string>>& headers,
-      const std::string& body = "") {
-    std::string wire = method + " " + target + " HTTP/1.1\r\n";
-    for (const auto& h : headers) {
-      wire += h.first + ": " + h.second + "\r\n";
-    }
-    if (!body.empty() || method == "POST") {
-      wire += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-    }
-    wire += "\r\n" + body;
-    Send(wire);
-  }
-
-  bool ReadResponse(ClientResponse* out) {
-    while (buf_.find("\r\n\r\n") == std::string::npos) {
-      if (!Fill()) return false;
-    }
-    const size_t head_end = buf_.find("\r\n\r\n");
-    const std::string head = buf_.substr(0, head_end);
-    buf_.erase(0, head_end + 4);
-
-    out->headers.clear();
-    size_t line_start = 0;
-    size_t line_end = head.find("\r\n");
-    const std::string status_line = head.substr(0, line_end);
-    if (std::sscanf(status_line.c_str(), "HTTP/1.1 %d", &out->status) != 1) {
-      return false;
-    }
-    while (line_end != std::string::npos) {
-      line_start = line_end + 2;
-      line_end = head.find("\r\n", line_start);
-      std::string line = head.substr(
-          line_start, line_end == std::string::npos ? std::string::npos
-                                                    : line_end - line_start);
-      const size_t colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      std::string name = line.substr(0, colon);
-      for (char& c : name) c = static_cast<char>(std::tolower(c));
-      std::string value = line.substr(colon + 1);
-      while (!value.empty() && value.front() == ' ') value.erase(0, 1);
-      out->headers[name] = value;
-    }
-    size_t content_length = 0;
-    const auto it = out->headers.find("content-length");
-    if (it != out->headers.end()) {
-      content_length = static_cast<size_t>(std::stoul(it->second));
-    }
-    while (buf_.size() < content_length) {
-      if (!Fill()) return false;
-    }
-    out->body = buf_.substr(0, content_length);
-    buf_.erase(0, content_length);
-    return true;
-  }
-
- private:
-  bool Fill() {
-    char tmp[4096];
-    while (true) {
-      const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
-      if (n > 0) {
-        buf_.append(tmp, static_cast<size_t>(n));
-        return true;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-  }
-
-  int fd_ = -1;
-  std::string buf_;
-};
+/// Receive timeout of every test connection: chaos runs are slow under
+/// sanitizers.
+constexpr int kClientTimeoutS = 30;
 
 class ChaosServerTest : public ChaosTest {
  protected:
   void StartServer(net::HttpServerOptions options = {},
-                   uint64_t model_seed = 7) {
+                   uint64_t model_seed = 7,
+                   const serve::EngineOptions& engine_options = {}) {
     handle_ = std::make_shared<serve::EngineHandle>(
-        MakeHandle(model_seed)->Get());
+        MakeHandle(model_seed, engine_options)->Get());
     server_ = std::make_unique<net::HttpServer>(handle_, nullptr, options);
     ASSERT_TRUE(server_->Start().ok());
     loop_ = std::thread([this] { server_->Run(); });
@@ -639,7 +513,7 @@ TEST_F(ChaosServerTest, SocketFaultStormKeepsResponsesByteExact) {
                   "net.epoll_wait=20%eintr; net.accept=50%eintr")
                   .ok());
   for (int c = 0; c < 4; ++c) {
-    TestClient client(port());
+    TestClient client(port(), kClientTimeoutS);
     ASSERT_TRUE(client.ok());
     for (int i = 0; i < 8; ++i) {
       client.Request("POST", "/v1/predict", "{\"nodes\":[0,1,2]}");
@@ -656,7 +530,7 @@ TEST_F(ChaosServerTest, SocketFaultStormKeepsResponsesByteExact) {
   ASSERT_TRUE(
       failpoint::ConfigureFromList("net.read=50%short; net.write=50%short")
           .ok());
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   for (int i = 0; i < 16; ++i) {
     client.Request("POST", "/v1/predict", "{\"nodes\":[0,1,2]}");
@@ -665,6 +539,66 @@ TEST_F(ChaosServerTest, SocketFaultStormKeepsResponsesByteExact) {
     EXPECT_EQ(r.status, 200);
     EXPECT_EQ(r.body, expected);
   }
+}
+
+TEST_F(ChaosServerTest, PipelinedConcurrentLoadUnderSocketFaultsDropsNothing) {
+  // A sampled engine (real per-request compute) behind a continuous
+  // batcher, with interrupted reads and partial writes on the server's
+  // sockets: the retry paths must still deliver every pipelined response.
+  net::HttpServerOptions options;
+  options.batcher.max_batch = 16;
+  options.batcher.max_queue_delay_ms = 2.0;
+  serve::EngineOptions engine_options;
+  engine_options.fanouts = {10, 10};
+  StartServer(options, /*model_seed=*/7, engine_options);
+  const int64_t num_nodes = handle_->Get()->num_nodes();
+  // Under the suite's fixed fail-point seed both sites fire on their second
+  // consult, so every schedule of this load sees faults at both.
+  ASSERT_TRUE(
+      failpoint::ConfigureFromList("net.read=10%eintr; net.write=10%short")
+          .ok());
+
+  // Each connection sends all its requests back to back, then reads every
+  // answer; in-order delivery pairs response i with request i.
+  constexpr int kConns = 4;
+  constexpr int kRequestsPerConn = 64;
+  const auto node_of = [num_nodes](int conn, int i) {
+    return (conn * kRequestsPerConn + i) % num_nodes;
+  };
+  std::vector<std::vector<ClientResponse>> responses(kConns);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.emplace_back([this, c, &node_of, &responses] {
+      TestClient client(port(), kClientTimeoutS);
+      if (!client.ok()) return;
+      for (int i = 0; i < kRequestsPerConn; ++i) {
+        client.Request("POST", "/v1/predict",
+                       "{\"nodes\":[" + std::to_string(node_of(c, i)) + "]}");
+      }
+      for (int i = 0; i < kRequestsPerConn; ++i) {
+        ClientResponse r;
+        if (!client.ReadResponse(&r)) return;
+        responses[static_cast<size_t>(c)].push_back(std::move(r));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (int c = 0; c < kConns; ++c) {
+    const std::vector<ClientResponse>& got =
+        responses[static_cast<size_t>(c)];
+    ASSERT_EQ(got.size(), static_cast<size_t>(kRequestsPerConn))
+        << "dropped responses on conn " << c;
+    for (int i = 0; i < kRequestsPerConn; ++i) {
+      const ClientResponse& r = got[static_cast<size_t>(i)];
+      EXPECT_EQ(r.status, 200) << "conn " << c << " req " << i;
+      const std::string prefix = "{\"predictions\":[{\"node\":" +
+                                 std::to_string(node_of(c, i)) + ",";
+      EXPECT_EQ(r.body.rfind(prefix, 0), 0u) << r.body;
+    }
+  }
+  EXPECT_GT(failpoint::Fired("net.read"), 0);
+  EXPECT_GT(failpoint::Fired("net.write"), 0);
 }
 
 // ---- Deadlines and load shedding over HTTP --------------------------------
@@ -681,7 +615,7 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
   // and survives, everything queued behind it outlives its deadline.
   ASSERT_TRUE(failpoint::Configure("batcher.batch", "delay(250)").ok());
 
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Request("POST", "/v1/predict", "{\"nodes\":[0,1]}");
   for (int i = 0; i < 3; ++i) {
@@ -750,14 +684,14 @@ TEST_F(ChaosServerTest, ClientGoneIsAccountedLikeADeliveredResponse) {
   net::HttpServerOptions options;
   options.slo_ms = 50.0;  // every stalled answer below violates it
   StartServer(options);
-  TestClient admin(port());
+  TestClient admin(port(), kClientTimeoutS);
   ASSERT_TRUE(admin.ok());
 
   // Predict: the batch stalls, and the client resets the connection while
   // its request is being evaluated.
   ASSERT_TRUE(failpoint::Configure("batcher.batch", "delay(500)").ok());
   {
-    TestClient client(port());
+    TestClient client(port(), kClientTimeoutS);
     ASSERT_TRUE(client.ok());
     client.Request("POST", "/v1/predict", "{\"nodes\":[0,1]}");
     AwaitFired("batcher.batch");
@@ -785,7 +719,7 @@ TEST_F(ChaosServerTest, ClientGoneIsAccountedLikeADeliveredResponse) {
   // and the client resets the connection meanwhile.
   ASSERT_TRUE(failpoint::Configure("artifact.open", "delay(500)").ok());
   {
-    TestClient client(port());
+    TestClient client(port(), kClientTimeoutS);
     ASSERT_TRUE(client.ok());
     client.Request("POST", "/v1/reload",
                    "{\"path\":\"" + TempPath("chaos_gone_missing.grare") +
@@ -843,7 +777,7 @@ TEST_F(ChaosServerTest, ReloadRollsBackAtEveryFailureStageUnderLoad) {
   std::atomic<bool> stop{false};
   std::atomic<int64_t> served{0}, anomalies{0};
   std::thread loader([&] {
-    TestClient lc(port());
+    TestClient lc(port(), kClientTimeoutS);
     if (!lc.ok()) {
       anomalies.fetch_add(1);
       return;
@@ -860,7 +794,7 @@ TEST_F(ChaosServerTest, ReloadRollsBackAtEveryFailureStageUnderLoad) {
     }
   });
 
-  TestClient admin(port());
+  TestClient admin(port(), kClientTimeoutS);
   ASSERT_TRUE(admin.ok());
   auto failing_reload = [&](const std::string& path,
                             const std::string& expect_substr) {
@@ -922,7 +856,7 @@ TEST_F(ChaosServerTest, ReloadBreakerOpensDegradesAndRecovers) {
   ASSERT_TRUE(MakeArtifact(55).Save(good).ok());
   const std::string missing = TempPath("chaos_breaker_missing.grare");
 
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   ClientResponse r;
 

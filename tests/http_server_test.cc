@@ -4,17 +4,8 @@
 // and the headline serving guarantee — artifact hot-swap under concurrent
 // load with zero dropped and zero mixed-version responses.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,131 +16,13 @@
 #include "core/graphrare.h"
 #include "net/server.h"
 
+#include "http_test_client.h"
+
 namespace graphrare {
 namespace {
 
-// ---- Minimal blocking HTTP client -----------------------------------------
-
-struct ClientResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;  // lowercased names
-  std::string body;
-};
-
-class TestClient {
- public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    struct timeval tv = {10, 0};  // nothing here should take 10s
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool ok() const { return fd_ >= 0; }
-
-  void Send(const std::string& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n =
-          ::write(fd_, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) return;
-      off += static_cast<size_t>(n);
-    }
-  }
-
-  void Request(const std::string& method, const std::string& target,
-               const std::string& body = "", bool close = false) {
-    std::string wire = method + " " + target + " HTTP/1.1\r\n";
-    if (close) wire += "Connection: close\r\n";
-    if (!body.empty() || method == "POST") {
-      wire += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-    }
-    wire += "\r\n" + body;
-    Send(wire);
-  }
-
-  /// Reads one complete response off the connection. Leftover bytes stay
-  /// buffered, so pipelined responses read back one call at a time.
-  bool ReadResponse(ClientResponse* out) {
-    while (buf_.find("\r\n\r\n") == std::string::npos) {
-      if (!Fill()) return false;
-    }
-    const size_t head_end = buf_.find("\r\n\r\n");
-    const std::string head = buf_.substr(0, head_end);
-    buf_.erase(0, head_end + 4);
-
-    out->headers.clear();
-    size_t line_start = 0;
-    size_t line_end = head.find("\r\n");
-    const std::string status_line = head.substr(0, line_end);
-    if (std::sscanf(status_line.c_str(), "HTTP/1.1 %d", &out->status) != 1) {
-      return false;
-    }
-    while (line_end != std::string::npos) {
-      line_start = line_end + 2;
-      line_end = head.find("\r\n", line_start);
-      std::string line = head.substr(
-          line_start, line_end == std::string::npos ? std::string::npos
-                                                    : line_end - line_start);
-      const size_t colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      std::string name = line.substr(0, colon);
-      for (char& c : name) c = static_cast<char>(std::tolower(c));
-      std::string value = line.substr(colon + 1);
-      while (!value.empty() && value.front() == ' ') value.erase(0, 1);
-      out->headers[name] = value;
-    }
-    size_t content_length = 0;
-    const auto it = out->headers.find("content-length");
-    if (it != out->headers.end()) {
-      content_length = static_cast<size_t>(std::stoul(it->second));
-    }
-    while (buf_.size() < content_length) {
-      if (!Fill()) return false;
-    }
-    out->body = buf_.substr(0, content_length);
-    buf_.erase(0, content_length);
-    return true;
-  }
-
-  /// Half-closes the sending side (FIN); the server can still respond.
-  void HalfClose() { ::shutdown(fd_, SHUT_WR); }
-
-  /// True once the server closes the connection (read returns 0).
-  bool WaitClosed() {
-    char tmp[256];
-    while (true) {
-      const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
-      if (n == 0) return true;
-      if (n < 0) return false;  // timeout — still open
-    }
-  }
-
- private:
-  bool Fill() {
-    char tmp[4096];
-    const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
-    if (n <= 0) return false;
-    buf_.append(tmp, static_cast<size_t>(n));
-    return true;
-  }
-
-  int fd_ = -1;
-  std::string buf_;
-};
+/// Receive timeout of every test connection: nothing here should take 10 s.
+constexpr int kClientTimeoutS = 10;
 
 // ---- Server fixture --------------------------------------------------------
 
@@ -212,7 +85,7 @@ class HttpServerTest : public ::testing::Test {
 
 TEST_F(HttpServerTest, HealthzReportsEngine) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Request("GET", "/healthz");
   ClientResponse r;
@@ -225,7 +98,7 @@ TEST_F(HttpServerTest, HealthzReportsEngine) {
 
 TEST_F(HttpServerTest, PredictBodyIsByteExact) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Request("POST", "/v1/predict", "{\"nodes\":[0,1,2]}");
   ClientResponse r;
@@ -237,7 +110,7 @@ TEST_F(HttpServerTest, PredictBodyIsByteExact) {
 
 TEST_F(HttpServerTest, TopKBodyIsByteExact) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Request("POST", "/v1/topk", "{\"node\":5,\"k\":3}");
   ClientResponse r;
@@ -249,7 +122,7 @@ TEST_F(HttpServerTest, TopKBodyIsByteExact) {
 
 TEST_F(HttpServerTest, MetricsCountRequests) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Request("POST", "/v1/predict", "{\"nodes\":[0]}");
   ClientResponse r;
@@ -289,7 +162,7 @@ TEST_F(HttpServerTest, ErrorStatusesPerRouteContract) {
       {"POST", "/v1/topk", "{\"node\":999999}", 400},  // out of range
       {"POST", "/v1/reload", "{}", 400},
   };
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   for (const Case& c : kCases) {
     SCOPED_TRACE(std::string(c.method) + " " + c.target + " " + c.body);
@@ -305,7 +178,7 @@ TEST_F(HttpServerTest, OversizedBodyIs413AndCloses) {
   net::HttpServerOptions options;
   options.limits.max_body_bytes = 64;
   StartServer(options);
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Send("POST /v1/predict HTTP/1.1\r\nContent-Length: 100000\r\n\r\n");
   ClientResponse r;
@@ -317,7 +190,7 @@ TEST_F(HttpServerTest, OversizedBodyIs413AndCloses) {
 
 TEST_F(HttpServerTest, MalformedFramingIs400AndCloses) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Send("NOT A REQUEST AT ALL\r\n\r\n");
   ClientResponse r;
@@ -330,7 +203,7 @@ TEST_F(HttpServerTest, MalformedFramingIs400AndCloses) {
 
 TEST_F(HttpServerTest, KeepAliveServesManyRequestsOnOneConnection) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   for (int i = 0; i < 5; ++i) {
     client.Request("POST", "/v1/predict",
@@ -345,7 +218,7 @@ TEST_F(HttpServerTest, KeepAliveServesManyRequestsOnOneConnection) {
 
 TEST_F(HttpServerTest, PipelinedRequestsAnswerInOrder) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   // Three requests in one write; the middle one is an error. Responses
   // must come back in request order despite async dispatch.
@@ -372,12 +245,12 @@ TEST_F(HttpServerTest, SlowLorisConnectionIsSwept) {
   options.idle_timeout_ms = 100;
   options.tick_ms = 20;
   StartServer(options);
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Send("GET /hea");  // partial request line, then silence
   EXPECT_TRUE(client.WaitClosed());
   // A live connection making progress is not swept: full request works.
-  TestClient healthy(port());
+  TestClient healthy(port(), kClientTimeoutS);
   ASSERT_TRUE(healthy.ok());
   healthy.Request("GET", "/healthz");
   ClientResponse r;
@@ -390,7 +263,7 @@ TEST_F(HttpServerTest, HalfClosedClientStillGetsItsResponses) {
   // every answer before the server closes — EOF stops reading, not the
   // parsing of what is already buffered.
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   std::string wire;
   wire += "POST /v1/predict HTTP/1.1\r\nContent-Length: 15\r\n\r\n"
@@ -409,7 +282,7 @@ TEST_F(HttpServerTest, HalfClosedClientStillGetsItsResponses) {
 
 TEST_F(HttpServerTest, HalfCloseAfterPartialRequestClosesPromptly) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
   client.Send("POST /v1/predict HTTP/1.1\r\nContent-Le");  // truncated
   client.HalfClose();
@@ -420,9 +293,9 @@ TEST_F(HttpServerTest, HalfCloseAfterPartialRequestClosesPromptly) {
 
 TEST_F(HttpServerTest, ConnectionCloseIsHonored) {
   StartServer();
-  TestClient client(port());
+  TestClient client(port(), kClientTimeoutS);
   ASSERT_TRUE(client.ok());
-  client.Request("GET", "/healthz", "", /*close=*/true);
+  client.RequestWithHeaders("GET", "/healthz", {{"Connection", "close"}});
   ClientResponse r;
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_EQ(r.status, 200);
@@ -457,7 +330,7 @@ TEST_F(HttpServerTest, HotSwapUnderLoadDropsNothingMixesNothing) {
   const std::string body = "{\"nodes\":[0,1,2,3]}";
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&] {
-      TestClient client(port());
+      TestClient client(port(), kClientTimeoutS);
       if (!client.ok()) {
         anomalies.fetch_add(kPerThread);
         return;
@@ -481,7 +354,7 @@ TEST_F(HttpServerTest, HotSwapUnderLoadDropsNothingMixesNothing) {
   }
 
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  TestClient admin(port());
+  TestClient admin(port(), kClientTimeoutS);
   ASSERT_TRUE(admin.ok());
   admin.Request("POST", "/v1/reload", "{\"path\":\"" + v2_path + "\"}");
   ClientResponse reload;
@@ -521,7 +394,7 @@ TEST_F(HttpServerTest, ShutdownDrainsInFlightWork) {
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&] {
-      TestClient client(port());
+      TestClient client(port(), kClientTimeoutS);
       if (!client.ok()) return;
       for (int i = 0; i < kPerThread; ++i) {
         client.Request("POST", "/v1/predict", "{\"nodes\":[0,1]}");
